@@ -278,7 +278,25 @@
 // report cache keyed on the complete (testbed, request, options) input.
 // The cluster dispatcher's per-fleet report memo is a repcache.Group — a
 // private namespace over the same cache with the same per-key singleflight,
-// so concurrent prewarm workers share one run per batch shape.
+// so concurrent prewarm workers share one run per batch shape. In front of
+// the group sits a loop-local memo, a plain map only the event-loop
+// goroutine touches: each distinct shape reaches the group once per
+// cluster.Run and every later lookup is one map hit, with no lock, no
+// interface key and no report copy. Schedule slots keep a pointer to the
+// memo's (read-only) report; only the Summary copies it out.
+//
+// The cluster event loop keeps its events small: an event is five words —
+// timestamp, sequence, kind and a payload that names its subject instead
+// of carrying it (an index into the sorted trace, the fault schedule or a
+// retries side table; the queue pointer for a timeout; the slot pointer
+// for a completion). They sit by value in a hand-written binary heap in the
+// idiom of internal/sim's heaps (a lessEvent comparator, no
+// container/heap, no interface boxing), ordered by (time, kind, queue key
+// for timeouts, sequence); the sequence makes that order total, so the pop
+// sequence is exactly the old one. Admission queues hold trace indices
+// rather than Request copies, continuous-mode takes advance a head index
+// instead of copying the rest of the queue, and evicted slots are
+// compacted out of the dispatch log once they outnumber live ones.
 //
 // BENCH_PR10.json records the whole benchmark suite (ns/op, allocs/op,
 // bytes/op, and the GOMAXPROCS each benchmark ran under), including the
@@ -344,7 +362,10 @@
 // write_pressure_bps, worn_out} gauges. The discrete-event engines
 // (EnableSimTelemetry) emit sim.tasks_scheduled and sim.resource_busy_sec;
 // the report cache (EnableCacheMetrics) emits repcache.hits,
-// repcache.misses and repcache.coalesced. Event kinds on the stream are
+// repcache.misses and repcache.coalesced. The cluster's loop-local memo
+// absorbs repeat lookups, so within one cluster.Run repcache.hits counts
+// only each shape's first lookup on the event loop (after prewarming);
+// engine runs and cache entries are unchanged. Event kinds on the stream are
 // arrival, reject, dispatch, preempt, fail, fault, repair, retry,
 // quarantine, failover, degrade, task and resource_busy.
 //
@@ -396,7 +417,8 @@
 //     `// guarded by <mu>` (repcache's cache and entries, the engine
 //     registry) is only touched with the named mutex held — RLock suffices
 //     for reads, never for writes. Heap-ordering fields of internal/sim's
-//     indexed min-heaps (Task.ready, Task.id, Resource.free) change only on
+//     indexed min-heaps (Task.ready, Task.id, Resource.free) and of
+//     internal/cluster's event heap (event.at/kind/q/seq) change only on
 //     the heap's own Fix/Push/Pop paths, or with a re-heapify call following
 //     in the same function. Code with no mutex at all — the experiment
 //     worker pools, the cluster event loop — stays race-free structurally:

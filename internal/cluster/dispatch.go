@@ -136,9 +136,10 @@ func (a Assignment) ExecSec() float64 { return a.FinishSec - a.StartSec }
 // engines are pure, so identical batch shapes share one simulation — across
 // pipelines too, when they declare a common EngineID. Keys are scoped to the
 // dispatcher's repcache.Group, so an EngineID names an engine only within
-// one fleet and two dispatchers never share (or collide on) reports.
+// one fleet and two dispatchers never share (or collide on) reports. eng
+// is the fleet index of the first pipeline running the engine.
 type repKey struct {
-	eng     string
+	eng     int
 	in, out int
 	size    int
 }
@@ -146,16 +147,18 @@ type repKey struct {
 // dispatcher is the policy layer shared by the event loop (trace-driven
 // admission, Run) and Dispatch (pre-formed plans, serving.Evaluate's path).
 // It is single-goroutine after prewarming, which keeps assignment
-// deterministic. Report memoization is delegated to a private
-// repcache.Group, whose per-key singleflight also serializes the prewarm
-// workers on identical shapes.
+// deterministic. Report memoization is two-level: a private repcache.Group,
+// whose per-key singleflight also serializes the prewarm workers on
+// identical shapes, and in front of it a plain map that only the
+// scheduling goroutine touches, so a repeat lookup costs one map hit.
 type dispatcher struct {
 	m      model.Config
 	fleet  []Pipeline
 	policy Policy
 	freeAt []float64
-	engKey []string // memo group per fleet index
+	engKey []int // memo group per fleet index
 	group  *repcache.Group
+	memo   map[repKey]*pipeline.Report // scheduling goroutine only
 
 	// Recovery hooks, installed only when a fault injector is active (nil
 	// otherwise, which keeps the fault-free arithmetic bit-identical to a
@@ -181,12 +184,17 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 	if !policy.valid() {
 		return nil, fmt.Errorf("cluster: unknown dispatch policy %q (known: %v)", policy, Policies())
 	}
-	engKey := make([]string, len(fleet))
+	engKey := make([]int, len(fleet))
+	first := map[string]int{}
 	for i, p := range fleet {
-		if p.EngineID != "" {
-			engKey[i] = p.EngineID
+		engKey[i] = i
+		if p.EngineID == "" {
+			continue
+		}
+		if j, ok := first[p.EngineID]; ok {
+			engKey[i] = j
 		} else {
-			engKey[i] = fmt.Sprintf("#%d", i)
+			first[p.EngineID] = i
 		}
 	}
 	return &dispatcher{
@@ -196,6 +204,7 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 		freeAt: make([]float64, len(fleet)),
 		engKey: engKey,
 		group:  repcache.NewGroup(),
+		memo:   map[repKey]*pipeline.Report{},
 	}, nil
 }
 
@@ -204,7 +213,22 @@ func (d *dispatcher) shapeKey(p int, c workload.Class, size int) repKey {
 	return repKey{eng: d.engKey[p], in: c.Input, out: c.Output, size: size}
 }
 
-func (d *dispatcher) report(p int, c workload.Class, size int) pipeline.Report {
+// report returns the engine report for one batch shape on pipeline p. It
+// is for the scheduling goroutine only: the memo in front of the group is
+// unsynchronized. The returned report is shared and must not be mutated.
+func (d *dispatcher) report(p int, c workload.Class, size int) *pipeline.Report {
+	k := d.shapeKey(p, c, size)
+	if rep, ok := d.memo[k]; ok {
+		return rep
+	}
+	rep := d.simulate(p, c, size)
+	d.memo[k] = &rep
+	return &rep
+}
+
+// simulate runs (or fetches from the group) the report for one batch shape
+// on pipeline p. Safe for concurrent use: prewarm workers call it directly.
+func (d *dispatcher) simulate(p int, c workload.Class, size int) pipeline.Report {
 	return d.group.Do(d.shapeKey(p, c, size), func() pipeline.Report {
 		// Scheduling reads only scalar timing/capacity fields; skip the
 		// per-task timeline so prewarming a fleet doesn't retain one
@@ -255,7 +279,7 @@ func (d *dispatcher) prewarm(shapes []prewarmShape) {
 			defer wg.Done()
 			for i := range queue {
 				s := todo[i]
-				d.report(s.p, s.c, s.size)
+				d.simulate(s.p, s.c, s.size)
 			}
 		}()
 	}
@@ -273,7 +297,7 @@ func (d *dispatcher) prewarm(shapes []prewarmShape) {
 // item). A tail the engine shrinks again is charged integral passes at the
 // tail report's effective batch; an infeasible tail report (which a
 // monotone engine never produces) falls back to one full-size pass.
-func (d *dispatcher) execSec(p int, c workload.Class, n int, rep pipeline.Report) float64 {
+func (d *dispatcher) execSec(p int, c workload.Class, n int, rep *pipeline.Report) float64 {
 	full := n / rep.Batch
 	tail := n % rep.Batch
 	sec := float64(full) * rep.TotalSec(c.Output)
@@ -295,7 +319,7 @@ func (d *dispatcher) execSec(p int, c workload.Class, n int, rep pipeline.Report
 // exact (non-lossy) candidate was down or quarantined.
 type placement struct {
 	p        int
-	rep      pipeline.Report
+	rep      *pipeline.Report
 	sec      float64
 	start    float64
 	reason   string
@@ -331,7 +355,7 @@ func (d *dispatcher) slow(p int, at float64) float64 {
 func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement, feasible bool, nextAvail float64) {
 	n := len(b.JobIDs)
 	best := -1
-	var bestRep pipeline.Report
+	var bestRep *pipeline.Report
 	var bestSec, bestKey, bestTie, bestStart float64
 	var firstReason, deadReason string
 	nextAvail = math.Inf(1)
@@ -431,7 +455,7 @@ func (d *dispatcher) commit(b BatchJob, pl placement) Assignment {
 	return Assignment{
 		Batch: b, Pipeline: pl.p,
 		StartSec: pl.start, FinishSec: pl.start + pl.sec,
-		Report: pl.rep,
+		Report: *pl.rep,
 	}
 }
 

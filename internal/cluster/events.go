@@ -24,7 +24,8 @@ import (
 // work; its batch's retry or terminal failure is recorded separately.
 type slot struct {
 	b       BatchJob
-	rep     placementReport
+	rep     *pipeline.Report // the dispatcher memo's entry: shared, read-only
+	execSec float64          // service time at placement, before any re-timing
 	pipe    int
 	reason  string
 	start   float64
@@ -38,12 +39,6 @@ type slot struct {
 	writeFrac float64 // fraction of the attempt's flash writes performed
 }
 
-// placementReport bundles what commit needs to (re)compute a slot's timing.
-type placementReport struct {
-	rep     pipeline.Report
-	execSec float64
-}
-
 // eventLoop is the unified scheduling core behind Run: a simulated-clock
 // discrete-event loop over arrival / wait-timeout / deadline /
 // pipeline-free events and per-priority-class queues. With every extension
@@ -52,6 +47,7 @@ type placementReport struct {
 type eventLoop struct {
 	cfg    Config
 	d      *dispatcher
+	reqs   []Request // the trace in arrival order; events and queues index it
 	events eventHeap
 	seq    int
 	now    float64
@@ -65,10 +61,11 @@ type eventLoop struct {
 	// prefix's finish time as the rescheduling baseline.
 	chains [][]*slot
 	floors []float64
-	// order records every dispatch decision in the order it was made;
-	// evicted slots are filtered out of the final Summary but keep the
-	// dispatch order of everything else stable.
-	order []*slot
+	// order records every dispatch decision in the order it was made.
+	// Evicted slots never reach the Summary; dropEvicted compacts them away
+	// once they outnumber the rest, keeping everything else in order.
+	order    []*slot
+	nEvicted int // evicted slots still in order
 
 	rejected []int
 	tally    preemptTally
@@ -77,6 +74,7 @@ type eventLoop struct {
 	// nil otherwise and every fault path below is skipped, leaving the
 	// loop's behavior bit-identical to a fault-free build.
 	inj    *faults.Injector
+	stops  []faults.Event // inj.FailStops(), indexed by evFault events
 	retry  RetryPolicy
 	health []pipeHealth
 	ft     faultTally
@@ -85,6 +83,9 @@ type eventLoop struct {
 	// (they are the oldest admitted work). Whatever is still here when the
 	// event heap drains fails terminally — no batch is silently lost.
 	pendingRetries []BatchJob
+	// retries holds the batches armed on evRetry events, indexed by the
+	// event; a popped event's entry is zeroed so its slices can be freed.
+	retries []BatchJob
 }
 
 // preemptTally counts batch-boundary evictions.
@@ -102,7 +103,7 @@ func (l *eventLoop) push(e event) {
 
 // run drains the event heap: the whole simulation, arrivals to final flush.
 func (l *eventLoop) run() {
-	for l.events.Len() > 0 {
+	for len(l.events) > 0 {
 		e := l.events.pop()
 		if l.cfg.Pace != nil && e.at > l.now {
 			l.cfg.Pace(e.at)
@@ -112,19 +113,20 @@ func (l *eventLoop) run() {
 		l.compact()
 		switch e.kind {
 		case evArrival:
-			l.arrive(e.req)
+			l.arrive(e.i)
 		case evTimeout:
-			l.fireTimeout(e)
+			l.fireTimeout(e.q, e.i)
 		case evDeadline:
-			l.fireDeadline(e)
+			l.fireDeadline(e.i)
 		case evDone:
-			l.fireDone(e)
+			l.fireDone(e.s, e.at)
 		case evFault:
-			l.injectFault(e.pipe, e.fault)
+			fe := l.stops[e.i]
+			l.injectFault(fe.Pipeline, fe)
 		case evRepair:
-			l.fireRepair(e)
+			l.fireRepair(int(e.i))
 		case evRetry:
-			l.redispatch(e.b)
+			l.redispatch(l.takeRetry(e.i))
 		case evFree:
 			l.tryDispatch()
 		}
@@ -148,6 +150,24 @@ func (l *eventLoop) compact() {
 	}
 }
 
+// dropEvicted notes n more evicted slots and, once evicted slots outnumber
+// live ones in order, compacts them out, preserving the order of the rest.
+func (l *eventLoop) dropEvicted(n int) {
+	l.nEvicted += n
+	if 2*l.nEvicted <= len(l.order) {
+		return
+	}
+	kept := l.order[:0]
+	for _, s := range l.order {
+		if !s.evicted {
+			kept = append(kept, s)
+		}
+	}
+	clear(l.order[len(kept):])
+	l.order = kept
+	l.nEvicted = 0
+}
+
 // backlog counts admitted-but-unstarted jobs of priority ≥ minPrio: queued
 // requests plus jobs in unstarted slots. Without preemption minPrio is 0,
 // which counts everything — the original backlog-cap semantics.
@@ -155,7 +175,7 @@ func (l *eventLoop) backlog(minPrio int) int {
 	n := 0
 	for _, q := range l.queues {
 		if q.key.priority >= minPrio {
-			n += len(q.reqs)
+			n += len(q.members())
 		}
 	}
 	for _, chain := range l.chains {
@@ -168,9 +188,11 @@ func (l *eventLoop) backlog(minPrio int) int {
 	return n
 }
 
-// arrive admits one request: backlog cap, queue insertion, batch closure on
-// fill (close-at-admission mode) or a dispatch attempt (continuous mode).
-func (l *eventLoop) arrive(r Request) {
+// arrive admits trace request i: backlog cap, queue insertion, batch
+// closure on fill (close-at-admission mode) or a dispatch attempt
+// (continuous mode).
+func (l *eventLoop) arrive(i int32) {
+	r := l.reqs[i]
 	if cap := l.cfg.Admission.MaxBacklog; cap > 0 {
 		// With preemption, a request only competes for backlog space with
 		// work of its own priority or above: online arrivals are no longer
@@ -192,50 +214,51 @@ func (l *eventLoop) arrive(r Request) {
 		q = &classQueue{key: k}
 		l.queues[k] = q
 	}
-	if len(q.reqs) == 0 {
-		l.push(event{at: r.ArrivalSec + l.cfg.Admission.MaxWaitSec, kind: evTimeout, key: k,
-			dl: r.ArrivalSec + l.cfg.Admission.MaxWaitSec})
+	if len(q.members()) == 0 {
+		l.push(event{at: r.ArrivalSec + l.cfg.Admission.MaxWaitSec, kind: evTimeout, q: q, i: i})
 	}
-	q.reqs = append(q.reqs, r)
+	q.add(i)
+	n := len(q.members())
 	l.cfg.Telemetry.onArrival(r)
-	l.cfg.Telemetry.onQueueDepth(k, len(q.reqs))
+	l.cfg.Telemetry.onQueueDepth(k, n)
 	if l.cfg.Admission.Preemption && r.DeadlineSec > 0 {
-		l.push(event{at: r.StartDeadline(), kind: evDeadline, req: r})
+		l.push(event{at: r.StartDeadline(), kind: evDeadline, i: i})
 	}
 	if l.cfg.Admission.ContinuousBatching {
 		l.tryDispatch()
-	} else if len(q.reqs) >= l.cfg.Admission.MaxBatch {
+	} else if n >= l.cfg.Admission.MaxBatch {
 		l.closeQueue(q, r.ArrivalSec)
 	}
 }
 
-// fireTimeout handles a max-wait expiry. Stale events — the queue already
-// closed, or refilled with a later head — are skipped: the armed deadline
-// no longer matches.
-func (l *eventLoop) fireTimeout(e event) {
-	q := l.queues[e.key]
-	if q == nil || len(q.reqs) == 0 || q.waitDeadline(l.cfg.Admission.MaxWaitSec) != e.dl {
+// fireTimeout handles a max-wait expiry of queue q, armed for the head at
+// trace index head. Stale events — the queue already closed, or refilled
+// with a later head — are skipped: the armed deadline no longer matches.
+func (l *eventLoop) fireTimeout(q *classQueue, head int32) {
+	dl := l.reqs[head].ArrivalSec + l.cfg.Admission.MaxWaitSec
+	if len(q.members()) == 0 || q.waitDeadline(l.reqs, l.cfg.Admission.MaxWaitSec) != dl {
 		return
 	}
 	if l.cfg.Admission.ContinuousBatching {
 		l.tryDispatch()
 		return
 	}
-	l.closeQueue(q, e.dl)
+	l.closeQueue(q, dl)
 }
 
 // fireDeadline handles a start-deadline expiry (preemption mode only): if
 // the request is still waiting in its queue, its partial batch closes right
 // now and dispatches with deadline-aware placement, instead of waiting out
 // the max-wait timer behind offline work.
-func (l *eventLoop) fireDeadline(e event) {
-	q := l.queues[queueKey{priority: e.req.Priority, class: e.req.Class}]
+func (l *eventLoop) fireDeadline(i int32) {
+	r := l.reqs[i]
+	q := l.queues[queueKey{priority: r.Priority, class: r.Class}]
 	if q == nil {
 		return
 	}
 	waiting := false
-	for _, r := range q.reqs {
-		if r.ID == e.req.ID {
+	for _, m := range q.members() {
+		if l.reqs[m].ID == r.ID {
 			waiting = true
 			break
 		}
@@ -250,16 +273,20 @@ func (l *eventLoop) fireDeadline(e event) {
 	l.closeQueue(q, l.now)
 }
 
-// makeBatch forms a BatchJob from requests of one queue.
-func makeBatch(k queueKey, reqs []Request, release float64) BatchJob {
-	b := BatchJob{Class: k.class, Priority: k.priority, ReleaseSec: release}
-	for _, r := range reqs {
-		b.JobIDs = append(b.JobIDs, r.ID)
-		b.Arrivals = append(b.Arrivals, r.ArrivalSec)
+// makeBatch forms a BatchJob from the given members (trace indices, at
+// least one) of one queue.
+func makeBatch(k queueKey, trace []Request, members []int32, release float64) BatchJob {
+	n := len(members)
+	b := BatchJob{
+		Class: k.class, Priority: k.priority, ReleaseSec: release,
+		JobIDs: make([]int, n), Arrivals: make([]float64, n), Deadlines: make([]float64, n),
+	}
+	for j, i := range members {
+		r := &trace[i]
+		b.JobIDs[j] = r.ID
+		b.Arrivals[j] = r.ArrivalSec
 		if r.DeadlineSec > 0 {
-			b.Deadlines = append(b.Deadlines, r.ArrivalSec+r.DeadlineSec)
-		} else {
-			b.Deadlines = append(b.Deadlines, 0)
+			b.Deadlines[j] = r.ArrivalSec + r.DeadlineSec
 		}
 	}
 	return b
@@ -279,8 +306,8 @@ func minDeadline(b BatchJob) float64 {
 // closeQueue forms a batch from everything waiting in q, releases it at the
 // given time, and places it (close-at-admission mode).
 func (l *eventLoop) closeQueue(q *classQueue, release float64) {
-	b := makeBatch(q.key, q.reqs, release)
-	q.reqs = nil
+	b := makeBatch(q.key, l.reqs, q.members(), release)
+	q.take(len(q.members()))
 	l.cfg.Telemetry.onQueueDepth(q.key, 0)
 	l.place(b)
 }
@@ -292,7 +319,7 @@ func (l *eventLoop) closeQueue(q *classQueue, release float64) {
 // armed for, so preemption-shifted slots invalidate stale completions.
 func (l *eventLoop) commitSlot(b BatchJob, pl placement) *slot {
 	s := &slot{
-		b: b, rep: placementReport{rep: pl.rep, execSec: pl.sec},
+		b: b, rep: pl.rep, execSec: pl.sec,
 		pipe: pl.p, start: pl.start, finish: pl.start + pl.sec,
 		degraded: pl.degraded, writeFrac: 1,
 	}
@@ -307,7 +334,7 @@ func (l *eventLoop) commitSlot(b BatchJob, pl placement) *slot {
 			l.ft.degradedJ += len(b.JobIDs)
 			l.cfg.Telemetry.onDegrade(l.now, s, l.cfg.Fleet[pl.p].Name)
 		}
-		l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish})
+		l.push(event{at: s.finish, kind: evDone, s: s})
 	}
 	return s
 }
@@ -351,7 +378,7 @@ func (l *eventLoop) finishPlacement(b BatchJob, pl placement, feasible bool, nex
 	case pl.p >= 0:
 		l.commitSlot(b, pl)
 	case feasible && !math.IsInf(nextAvail, 1):
-		l.push(event{at: nextAvail, kind: evRetry, b: b})
+		l.armRetry(nextAvail, b)
 	default:
 		l.failSlot(b, pl.reason)
 	}
@@ -379,7 +406,7 @@ func (l *eventLoop) bestPreemptive(b BatchJob) (int, float64) {
 				prevFinish = s.finish // started: immovable
 			case s.b.Priority >= b.Priority:
 				st := math.Max(s.b.ReleaseSec, prevFinish) // survivor, shifted up
-				prevFinish = st + s.rep.execSec
+				prevFinish = st + s.execSec
 			}
 			// Strictly-lower-priority unstarted slots would be evicted.
 		}
@@ -406,6 +433,7 @@ func (l *eventLoop) preemptInto(p int, b BatchJob) {
 	}
 	l.chains[p] = kept
 	l.recompute(p)
+	l.dropEvicted(len(evicted))
 
 	n := len(b.JobIDs)
 	rep := l.d.report(p, b.Class, n)
@@ -441,10 +469,10 @@ func (l *eventLoop) recompute(p int) {
 		}
 		old := s.finish
 		s.start = math.Max(s.b.ReleaseSec, prevFinish)
-		s.finish = s.start + s.rep.execSec
+		s.finish = s.start + s.execSec
 		prevFinish = s.finish
 		if l.inj != nil && s.finish != old {
-			l.push(event{at: s.finish, kind: evDone, s: s, dl: s.finish})
+			l.push(event{at: s.finish, kind: evDone, s: s})
 		}
 	}
 	l.d.freeAt[p] = prevFinish
@@ -454,7 +482,7 @@ func (l *eventLoop) recompute(p int) {
 // completion — assignmentWriteBytes' twin on the loop's slot form, used to
 // charge wear budgets as writes land.
 func slotWriteBytes(s *slot) float64 {
-	rep := s.rep.rep
+	rep := s.rep
 	if rep.Batch < 1 {
 		return 0
 	}
@@ -467,14 +495,13 @@ func slotWriteBytes(s *slot) float64 {
 	return passes * (rep.PrefillWriteBytes + rep.DecodeWriteBytesPerStep*float64(steps))
 }
 
-// fireDone settles one attempt at its finish (faults active only): charge
-// the attempt's flash writes against the pipeline's wear budget, then
-// resolve its transient-error fate. Stale events — the slot was evicted,
-// killed, or re-timed by preemption — are skipped; the done flag dedups
-// re-armed events that landed on the same finish.
-func (l *eventLoop) fireDone(e event) {
-	s := e.s
-	if s.done || s.evicted || s.aborted || s.finish != e.dl {
+// fireDone settles one attempt at the finish it was armed for (faults
+// active only): charge the attempt's flash writes against the pipeline's
+// wear budget, then resolve its transient-error fate. Stale events — the
+// slot was evicted, killed, or re-timed by preemption — are skipped; the
+// done flag dedups re-armed events that landed on the same finish.
+func (l *eventLoop) fireDone(s *slot, armed float64) {
+	if s.done || s.evicted || s.aborted || s.finish != armed {
 		return
 	}
 	s.done = true
@@ -512,7 +539,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 			return // overlapping fail-stop: the pipeline is already down
 		}
 		h.downUntil = l.now + fe.DurationSec
-		l.push(event{at: h.downUntil, kind: evRepair, pipe: p})
+		l.push(event{at: h.downUntil, kind: evRepair, i: int32(p)})
 	}
 	h.faults++
 	l.ft.faults++
@@ -544,8 +571,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 // both passed (a repair armed for a window that was later superseded — or
 // for a pipeline that wore out permanently in the meantime — is stale and
 // skipped), then offers it the waiting work.
-func (l *eventLoop) fireRepair(e event) {
-	p := e.pipe
+func (l *eventLoop) fireRepair(p int) {
 	h := &l.health[p]
 	if h.downUntil > l.now || h.quarUntil > l.now {
 		return
@@ -571,7 +597,21 @@ func (l *eventLoop) failAttempt(p int, b BatchJob, reason string) {
 	l.ft.retryBatches++
 	l.ft.retryJobs += len(nb.JobIDs)
 	l.cfg.Telemetry.onRetry(l.now, nb, reason, l.cfg.Fleet[p].Name)
-	l.push(event{at: nb.ReleaseSec, kind: evRetry, b: nb})
+	l.armRetry(nb.ReleaseSec, nb)
+}
+
+// armRetry parks b in the retries side table and schedules its re-dispatch
+// at the given instant.
+func (l *eventLoop) armRetry(at float64, b BatchJob) {
+	l.push(event{at: at, kind: evRetry, i: int32(len(l.retries))})
+	l.retries = append(l.retries, b)
+}
+
+// takeRetry removes and returns the batch an evRetry event armed.
+func (l *eventLoop) takeRetry(i int32) BatchJob {
+	b := l.retries[i]
+	l.retries[i] = BatchJob{}
+	return b
 }
 
 // noteFailure advances pipeline p's circuit breaker after a failed attempt:
@@ -594,7 +634,7 @@ func (l *eventLoop) noteFailure(p int) {
 	l.ft.quarantines++
 	l.cfg.Telemetry.onQuarantine(l.now, l.cfg.Fleet[p].Name, l.retry.QuarantineSec)
 	l.evictUnstarted(p, "quarantine")
-	l.push(event{at: h.quarUntil, kind: evRepair, pipe: p})
+	l.push(event{at: h.quarUntil, kind: evRepair, i: int32(p)})
 }
 
 // evictUnstarted fails pipeline p's queued-ahead (unstarted) slots over to
@@ -614,6 +654,7 @@ func (l *eventLoop) evictUnstarted(p int, cause string) {
 	}
 	l.chains[p] = kept
 	l.recompute(p)
+	l.dropEvicted(len(evicted))
 	for _, ev := range evicted {
 		l.ft.failedOverB++
 		l.ft.failedOverJ += len(ev.b.JobIDs)
@@ -650,13 +691,13 @@ func (l *eventLoop) redispatch(b BatchJob) {
 // batch is waiting, the oldest member's max wait expired, or — under
 // preemption — a member's start deadline arrived.
 func (l *eventLoop) ripe(q *classQueue) bool {
-	if len(q.reqs) >= l.cfg.Admission.MaxBatch {
+	if len(q.members()) >= l.cfg.Admission.MaxBatch {
 		return true
 	}
-	if q.waitDeadline(l.cfg.Admission.MaxWaitSec) <= l.now {
+	if q.waitDeadline(l.reqs, l.cfg.Admission.MaxWaitSec) <= l.now {
 		return true
 	}
-	return l.cfg.Admission.Preemption && q.minStartDeadline() <= l.now
+	return l.cfg.Admission.Preemption && q.minStartDeadline(l.reqs) <= l.now
 }
 
 // ripeQueues returns the dispatchable queues in scheduling order: priority
@@ -664,7 +705,7 @@ func (l *eventLoop) ripe(q *classQueue) bool {
 func (l *eventLoop) ripeQueues() []*classQueue {
 	var qs []*classQueue
 	for _, q := range l.queues {
-		if len(q.reqs) > 0 && l.ripe(q) {
+		if len(q.members()) > 0 && l.ripe(q) {
 			qs = append(qs, q)
 		}
 	}
@@ -673,8 +714,8 @@ func (l *eventLoop) ripeQueues() []*classQueue {
 		if a.key.priority != b.key.priority {
 			return a.key.priority > b.key.priority
 		}
-		if a.reqs[0].ArrivalSec != b.reqs[0].ArrivalSec {
-			return a.reqs[0].ArrivalSec < b.reqs[0].ArrivalSec
+		if ha, hb := l.reqs[a.members()[0]].ArrivalSec, l.reqs[b.members()[0]].ArrivalSec; ha != hb {
+			return ha < hb
 		}
 		return a.key.cmp(b.key) < 0
 	})
@@ -696,11 +737,8 @@ func (l *eventLoop) tryDispatch() {
 		}
 		placed := false
 		for _, q := range l.ripeQueues() {
-			n := len(q.reqs)
-			if n > l.cfg.Admission.MaxBatch {
-				n = l.cfg.Admission.MaxBatch
-			}
-			b := makeBatch(q.key, q.reqs[:n], l.now)
+			n := min(len(q.members()), l.cfg.Admission.MaxBatch)
+			b := makeBatch(q.key, l.reqs, q.members()[:n], l.now)
 			pl, feasible, _ := l.d.planIdle(b, l.now)
 			if pl.p < 0 {
 				if feasible {
@@ -753,15 +791,12 @@ func (l *eventLoop) dispatchRetry() bool {
 // takeFromQueue removes the queue's n oldest requests and re-arms its
 // max-wait timer for the new head.
 func (l *eventLoop) takeFromQueue(q *classQueue, n int) {
-	q.reqs = append([]Request(nil), q.reqs[n:]...)
-	l.cfg.Telemetry.onQueueDepth(q.key, len(q.reqs))
-	if len(q.reqs) > 0 {
-		dl := q.waitDeadline(l.cfg.Admission.MaxWaitSec)
-		at := dl
-		if at < l.now {
-			at = l.now
-		}
-		l.push(event{at: at, kind: evTimeout, key: q.key, dl: dl})
+	q.take(n)
+	rest := q.members()
+	l.cfg.Telemetry.onQueueDepth(q.key, len(rest))
+	if len(rest) > 0 {
+		at := max(q.waitDeadline(l.reqs, l.cfg.Admission.MaxWaitSec), l.now)
+		l.push(event{at: at, kind: evTimeout, q: q, i: rest[0]})
 	}
 }
 
@@ -833,6 +868,7 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 	l := &eventLoop{
 		cfg:    cfg,
 		d:      d,
+		reqs:   sorted,
 		queues: map[queueKey]*classQueue{},
 		chains: make([][]*slot, len(cfg.Fleet)),
 		floors: make([]float64, len(cfg.Fleet)),
@@ -841,8 +877,9 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		retry:  cfg.Retry,
 		health: make([]pipeHealth, len(cfg.Fleet)),
 	}
-	for _, r := range sorted {
-		l.push(event{at: r.ArrivalSec, kind: evArrival, req: r})
+	l.events = make(eventHeap, 0, len(sorted))
+	for i, r := range sorted {
+		l.push(event{at: r.ArrivalSec, kind: evArrival, i: int32(i)})
 	}
 	if inj != nil {
 		d.availAt = l.availAt
@@ -852,11 +889,12 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 				l.health[p].wear = endurance.NewBudget(budget)
 			}
 		}
-		for _, fe := range inj.FailStops() {
+		l.stops = inj.FailStops()
+		for i, fe := range l.stops {
 			if fe.Pipeline >= len(cfg.Fleet) {
 				return Summary{}, fmt.Errorf("cluster: fault schedule targets pipeline %d of a %d-pipeline fleet", fe.Pipeline, len(cfg.Fleet))
 			}
-			l.push(event{at: fe.AtSec, kind: evFault, pipe: fe.Pipeline, fault: fe})
+			l.push(event{at: fe.AtSec, kind: evFault, i: int32(i)})
 		}
 	}
 	l.run()
@@ -882,7 +920,7 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		asgs = append(asgs, Assignment{
 			Batch: s.b, Pipeline: s.pipe,
 			StartSec: s.start, FinishSec: s.finish,
-			Report:  s.rep.rep,
+			Report:  *s.rep,
 			Aborted: s.aborted, Reason: s.reason,
 		})
 		fracs = append(fracs, s.writeFrac)

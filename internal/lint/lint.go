@@ -9,7 +9,8 @@
 //     outside the float64 Partial/Stats machinery;
 //   - guardedby — fields annotated `// guarded by <mu>` are only touched
 //     with the named mutex held;
-//   - heapsafe — priority-ordering fields of indexed-heap items are only
+//   - heapsafe — priority-ordering fields of heap items (internal/sim's
+//     task and resource heaps, internal/cluster's event heap) are only
 //     mutated on the heap's own maintenance paths.
 //
 // Deliberate exceptions are annotated in source with
