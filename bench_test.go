@@ -23,7 +23,7 @@ import (
 	"repro/internal/workload"
 )
 
-// --- One benchmark per paper table/figure (DESIGN.md §3 index). Each
+// --- One benchmark per paper table/figure. Each
 // regenerates the corresponding experiment end to end; b.N repetitions give
 // stable timings of the full harness.
 

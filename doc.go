@@ -108,20 +108,20 @@
 // fleet compositions, rates, arrival processes, scheduling modes and
 // policies from the command line.
 //
-// Backlog remains the offline special case — a request trace packed into
-// same-shape batches, released at time zero over WithPipelines(n)
-// identical pipelines — and serving.Evaluate delegates to the same cluster
-// dispatch core, so there is exactly one scheduling implementation. When
-// an engine shrinks a batch, the remainder is charged as a smaller final
-// pass simulated at its exact tail shape:
+// Backlog is the offline special case: a request trace packed into
+// same-shape batches (classes in name order, so Long before Medium before
+// Short) and list-scheduled in that plan order over WithPipelines(n)
+// identical pipelines, each batch going to the earliest-free one through
+// the cluster's own dispatcher. It is not the cluster event loop on an
+// all-at-zero trace: the loop interleaves full batches in arrival order
+// and closes partial tails only on timeout, which loses the plan's
+// near-longest-first order and lengthens the makespan by up to 44% at 2–4
+// pipelines. When an engine shrinks a batch, the remainder is charged as a
+// smaller final pass simulated at its exact tail shape:
 //
 //	deploy, _ := hilos.New(hilos.WithDevices(16), hilos.WithPipelines(4))
 //	trace, _ := hilos.NewWorkloadTrace(7, 200)
 //	sum, err := deploy.Backlog(m, trace, 16, hilos.SystemHILOS)
-//
-// The pre-registry entry points (NewSimulator, Simulator.Run,
-// Simulator.RunBacklog, Simulator.EnergyPerToken) remain as deprecated
-// shims over the registry and behave identically.
 //
 // # Robustness: deterministic faults and self-healing dispatch
 //
@@ -393,9 +393,8 @@
 //
 //   - Determinism (simdeterminism): identical inputs produce bit-identical
 //     tables. The simulation and kernel packages (internal/sim,
-//     internal/cluster, internal/faults, internal/serving,
-//     internal/experiments, internal/attention, internal/tensor,
-//     internal/accel) never read
+//     internal/cluster, internal/faults, internal/experiments,
+//     internal/attention, internal/tensor, internal/accel) never read
 //     time.Now, the process environment, or an unseeded entropy source —
 //     randomness comes from explicitly seeded rand.New(rand.NewSource(seed))
 //     streams — and Go's randomized map iteration order never reaches an
@@ -433,6 +432,5 @@
 // internal/lint/testdata/src pin each analyzer's catch and no-false-positive
 // behavior.
 //
-// See the examples directory for runnable walkthroughs and
-// DESIGN.md/EXPERIMENTS.md for the reproduction methodology.
+// See the examples directory for runnable walkthroughs.
 package hilos

@@ -1,6 +1,11 @@
 package hilos
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -60,34 +65,6 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 	if _, err := New(WithDevices(16), WithAlpha(0.5), WithSpillInterval(32), WithPipelines(4)); err != nil {
 		t.Errorf("valid options rejected: %v", err)
-	}
-}
-
-// The functional-options constructor reproduces the deprecated positional
-// API exactly: same engine, same report.
-func TestSimulateMatchesDeprecatedRun(t *testing.T) {
-	m, _ := ModelByName("OPT-66B")
-	req := Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}
-	oldSim, err := NewSimulator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSim, err := New(WithDevices(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sys := range Systems() {
-		old, err := oldSim.Run(sys, req, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		got, err := newSim.Simulate(sys, req)
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if got.StepSec != old.StepSec || got.PrefillSec != old.PrefillSec || got.Batch != old.Batch {
-			t.Errorf("%s: Simulate %+v differs from deprecated Run %+v", sys, got, old)
-		}
 	}
 }
 
@@ -151,18 +128,10 @@ func TestEnergyBreakdownFacade(t *testing.T) {
 	if b.Total() != b.CPU+b.DRAM+b.GPU+b.SSD {
 		t.Error("Total() does not sum the components")
 	}
-	// The deprecated 4-float shim agrees with the struct.
-	cpu, dram, gpu, ssd, err := s.EnergyPerToken(rep, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpu != b.CPU || dram != b.DRAM || gpu != b.GPU || ssd != b.SSD {
-		t.Error("EnergyPerToken shim disagrees with Energy")
-	}
 }
 
 func TestNewSimulator(t *testing.T) {
-	s, err := NewSimulator()
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +140,7 @@ func TestNewSimulator(t *testing.T) {
 	}
 	bad := DefaultTestbed()
 	bad.GPU.EffFLOPS = 0
-	if _, err := NewSimulatorWithTestbed(bad); err == nil {
+	if _, err := New(WithTestbed(bad)); err == nil {
 		t.Error("invalid testbed accepted")
 	}
 }
@@ -190,14 +159,14 @@ func TestModelsFacade(t *testing.T) {
 }
 
 func TestRunAllSystems(t *testing.T) {
-	s, err := NewSimulator()
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := ModelByName("OPT-66B")
 	req := Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}
 	for _, sys := range Systems() {
-		rep, err := s.Run(sys, req, 8)
+		rep, err := s.Simulate(sys, req)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -205,24 +174,24 @@ func TestRunAllSystems(t *testing.T) {
 			t.Errorf("%s: non-positive throughput", sys)
 		}
 	}
-	if _, err := s.Run(System("bogus"), req, 8); err == nil {
+	if _, err := s.Simulate(System("bogus"), req); err == nil {
 		t.Error("unknown system accepted")
 	}
 }
 
 func TestHILOSBeatsFlexSSDViaFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s, _ := New(WithDevices(16))
 	m, _ := ModelByName("OPT-66B")
 	req := Request{Model: m, Batch: 16, Context: 65536, OutputLen: 64}
-	base, _ := s.Run(SystemFlexSSD, req, 0)
-	h, _ := s.Run(SystemHILOS, req, 16)
+	base, _ := s.Simulate(SystemFlexSSD, req)
+	h, _ := s.Simulate(SystemHILOS, req)
 	if h.DecodeTokPerSec() <= base.DecodeTokPerSec() {
 		t.Error("HILOS not faster than FLEX(SSD) through the facade")
 	}
 }
 
 func TestChooseAlphaFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s, _ := New()
 	m, _ := ModelByName("OPT-66B")
 	a, err := s.ChooseAlpha(m, 16, 32768, 8)
 	if err != nil || a != 0.5 {
@@ -231,21 +200,21 @@ func TestChooseAlphaFacade(t *testing.T) {
 }
 
 func TestEnergyFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s, _ := New()
 	m, _ := ModelByName("OPT-30B")
 	req := Request{Model: m, Batch: 8, Context: 16384, OutputLen: 32}
-	rep, _ := s.Run(SystemHILOS, req, 8)
-	cpu, dram, gpu, ssd, err := s.EnergyPerToken(rep, 8)
+	rep, _ := s.Simulate(SystemHILOS, req)
+	b, err := s.Energy(rep, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cpu <= 0 || dram <= 0 || gpu <= 0 || ssd <= 0 {
-		t.Errorf("energy components: %v %v %v %v", cpu, dram, gpu, ssd)
+	if b.CPU <= 0 || b.DRAM <= 0 || b.GPU <= 0 || b.SSD <= 0 {
+		t.Errorf("energy components: %+v", b)
 	}
 }
 
 func TestExperimentFacade(t *testing.T) {
-	s, _ := NewSimulator()
+	s, _ := New()
 	tab, err := s.ExperimentByID("table3")
 	if err != nil || len(tab.Rows) != 3 {
 		t.Errorf("ExperimentByID(table3) = %d rows, %v", len(tab.Rows), err)
@@ -274,34 +243,55 @@ func TestAcceleratorTable3Facade(t *testing.T) {
 	}
 }
 
-func TestRunBacklogFacade(t *testing.T) {
-	s, err := NewSimulator()
+// Backlog summaries are pinned bit-for-bit: every field of each summary
+// over a model × system × seed × batch × pipeline grid must DeepEqual the
+// recorded golden (encoding/json round-trips float64 exactly).
+func TestBacklogGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "backlog_golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := ModelByName("OPT-30B")
-	trace, err := NewWorkloadTrace(5, 20)
-	if err != nil {
+	var golden map[string]BacklogSummary
+	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
 	}
-	flex, err := s.RunBacklog(m, trace, 16, SystemFlexSSD, 0)
-	if err != nil {
-		t.Fatal(err)
+	seen := 0
+	for _, name := range []string{"OPT-30B", "OPT-66B"} {
+		m, err := ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 7} {
+			trace, err := NewWorkloadTrace(seed, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pipes := range []int{1, 2, 4} {
+				s, err := New(WithPipelines(pipes))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sys := range []System{SystemHILOS, SystemFlexSSD, SystemFlexDRAM, SystemVLLM} {
+					for _, batch := range []int{4, 16} {
+						key := fmt.Sprintf("%s/%s/seed%d/n200/b%d/p%d", name, sys, seed, batch, pipes)
+						got, err := s.Backlog(m, trace, batch, sys)
+						if err != nil {
+							t.Fatalf("%s: %v", key, err)
+						}
+						want, ok := golden[key]
+						if !ok {
+							t.Fatalf("%s: no golden entry", key)
+						}
+						seen++
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: summary drifted\n got  %+v\n want %+v", key, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
-	hil, err := s.RunBacklog(m, trace, 16, SystemHILOS, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flex.Jobs != 20 || hil.Jobs != 20 {
-		t.Errorf("jobs = %d / %d, want 20", flex.Jobs, hil.Jobs)
-	}
-	if hil.MakespanSec >= flex.MakespanSec {
-		t.Errorf("HILOS backlog %.1fs not below FlexGen %.1fs", hil.MakespanSec, flex.MakespanSec)
-	}
-	if hil.OutputTokens != flex.OutputTokens {
-		t.Error("token accounting differs between engines")
-	}
-	if _, err := s.RunBacklog(m, nil, 16, SystemHILOS, 8); err == nil {
-		t.Error("empty trace accepted")
+	if seen != len(golden) {
+		t.Errorf("checked %d summaries, golden has %d", seen, len(golden))
 	}
 }

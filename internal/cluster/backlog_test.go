@@ -1,4 +1,4 @@
-package serving
+package cluster
 
 import (
 	"testing"
@@ -11,62 +11,51 @@ import (
 	"repro/internal/workload"
 )
 
-func jobsFromTrace(trace []workload.Class) []Job {
-	jobs := make([]Job, len(trace))
-	for i, c := range trace {
-		jobs[i] = Job{ID: i, Class: c}
-	}
-	return jobs
-}
-
 func TestPackByClass(t *testing.T) {
-	jobs := []Job{
-		{0, workload.Short}, {1, workload.Long}, {2, workload.Short},
-		{3, workload.Short}, {4, workload.Long},
-	}
-	batches, err := PackByClass(jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := []workload.Class{workload.Short, workload.Long, workload.Short, workload.Short, workload.Long}
+	batches := packByClass(trace, 2)
 	// Short: {0,2},{3}; Long: {1,4} → 3 batches (order: Long < Short).
 	if len(batches) != 3 {
 		t.Fatalf("got %d batches, want 3", len(batches))
 	}
 	total := 0
 	for _, b := range batches {
-		if len(b.Jobs) > 2 {
-			t.Errorf("batch exceeds size: %v", b.Jobs)
+		if len(b.JobIDs) > 2 {
+			t.Errorf("batch exceeds size: %v", b.JobIDs)
 		}
-		for range b.Jobs {
-			total++
-		}
-		for _, id := range b.Jobs {
-			if jobs[id].Class.Name != b.Class.Name {
-				t.Errorf("job %d class %s in %s batch", id, jobs[id].Class.Name, b.Class.Name)
+		total += len(b.JobIDs)
+		for _, id := range b.JobIDs {
+			if trace[id].Name != b.Class.Name {
+				t.Errorf("job %d class %s in %s batch", id, trace[id].Name, b.Class.Name)
 			}
 		}
 	}
-	if total != len(jobs) {
-		t.Errorf("packed %d jobs, want %d", total, len(jobs))
+	if total != len(trace) {
+		t.Errorf("packed %d jobs, want %d", total, len(trace))
 	}
 }
 
-func TestPackByClassErrors(t *testing.T) {
-	if _, err := PackByClass(nil, 4); err == nil {
-		t.Error("empty jobs accepted")
+func TestBacklogErrors(t *testing.T) {
+	fake := func(req pipeline.Request) pipeline.Report { return pipeline.Report{Batch: req.Batch, StepSec: 1} }
+	if _, err := Backlog(model.OPT30B, nil, 4, fake, 1); err == nil {
+		t.Error("empty trace accepted")
 	}
-	if _, err := PackByClass([]Job{{0, workload.Short}}, 0); err == nil {
+	if _, err := Backlog(model.OPT30B, []workload.Class{workload.Short}, 0, fake, 1); err == nil {
 		t.Error("batch size 0 accepted")
 	}
+	if _, err := Backlog(model.OPT30B, []workload.Class{workload.Short}, 1, nil, 1); err == nil {
+		t.Error("nil engine accepted")
+	}
+	if _, err := Backlog(model.OPT30B, []workload.Class{workload.Short}, 1, fake, 0); err == nil {
+		t.Error("pipelines = 0 accepted")
+	}
 }
 
-func TestEvaluateWithFakeEngine(t *testing.T) {
-	jobs := jobsFromTrace([]workload.Class{workload.Short, workload.Short, workload.Medium})
-	batches, _ := PackByClass(jobs, 2)
+func TestBacklogWithFakeEngine(t *testing.T) {
 	fake := func(req pipeline.Request) pipeline.Report {
 		return pipeline.Report{Batch: req.Batch, StepSec: 1, PrefillSec: 10}
 	}
-	s, err := Evaluate(model.OPT30B, batches, fake)
+	s, err := Backlog(model.OPT30B, []workload.Class{workload.Short, workload.Short, workload.Medium}, 2, fake, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,42 +75,33 @@ func TestEvaluateWithFakeEngine(t *testing.T) {
 	}
 }
 
-func TestEvaluateShrunkBatchNeedsMorePasses(t *testing.T) {
-	jobs := jobsFromTrace([]workload.Class{workload.Short, workload.Short, workload.Short, workload.Short})
-	batches, _ := PackByClass(jobs, 4)
+func TestBacklogShrunkBatchNeedsMorePasses(t *testing.T) {
+	trace := []workload.Class{workload.Short, workload.Short, workload.Short, workload.Short}
 	// Engine can only fit half the batch: twice the passes.
 	half := func(req pipeline.Request) pipeline.Report {
 		return pipeline.Report{Batch: req.Batch / 2, StepSec: 1, PrefillSec: 0}
 	}
-	s, err := Evaluate(model.OPT30B, batches, half)
+	s, err := Backlog(model.OPT30B, trace, 4, half, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := func(req pipeline.Request) pipeline.Report {
 		return pipeline.Report{Batch: req.Batch, StepSec: 1, PrefillSec: 0}
 	}
-	s2, _ := Evaluate(model.OPT30B, batches, full)
+	s2, _ := Backlog(model.OPT30B, trace, 4, full, 1)
 	if s.MakespanSec != 2*s2.MakespanSec {
 		t.Errorf("shrunk batch makespan %v, want 2× %v", s.MakespanSec, s2.MakespanSec)
 	}
 }
 
-func TestEvaluateOOM(t *testing.T) {
-	jobs := jobsFromTrace([]workload.Class{workload.Long})
-	batches, _ := PackByClass(jobs, 1)
+func TestBacklogOOM(t *testing.T) {
 	oom := func(pipeline.Request) pipeline.Report { return pipeline.Report{OOM: true} }
-	s, err := Evaluate(model.OPT30B, batches, oom)
+	s, err := Backlog(model.OPT30B, []workload.Class{workload.Long}, 1, oom, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.OOMBatches != 1 || s.MakespanSec != 0 {
 		t.Errorf("OOM summary %+v", s)
-	}
-	if _, err := Evaluate(model.OPT30B, nil, oom); err == nil {
-		t.Error("empty plan accepted")
-	}
-	if _, err := Evaluate(model.OPT30B, batches, nil); err == nil {
-		t.Error("nil engine accepted")
 	}
 }
 
@@ -129,13 +109,11 @@ func TestEvaluateOOM(t *testing.T) {
 // one full pass plus a batch-1 tail pass, each paying prefill again — never
 // 1.5 fractional passes. This engine's timing is batch-independent, so both
 // passes cost the same; the tail is still a separate simulated pass.
-func TestEvaluateIntegerPasses(t *testing.T) {
-	jobs := jobsFromTrace([]workload.Class{workload.Short, workload.Short, workload.Short})
-	batches, _ := PackByClass(jobs, 3)
+func TestBacklogIntegerPasses(t *testing.T) {
 	shrink := func(req pipeline.Request) pipeline.Report {
 		return pipeline.Report{Batch: 2, StepSec: 1, PrefillSec: 10}
 	}
-	s, err := Evaluate(model.OPT30B, batches, shrink)
+	s, err := Backlog(model.OPT30B, []workload.Class{workload.Short, workload.Short, workload.Short}, 3, shrink, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +124,10 @@ func TestEvaluateIntegerPasses(t *testing.T) {
 	}
 }
 
-// Exact tail-pass accounting (ROADMAP item): when step time scales with the
-// running batch, the partial final pass is charged at its own smaller
-// shape, not as a full-size pass.
-func TestEvaluateExactTailPass(t *testing.T) {
-	jobs := jobsFromTrace([]workload.Class{workload.Short, workload.Short, workload.Short})
-	batches, _ := PackByClass(jobs, 3)
+// Exact tail-pass accounting: when step time scales with the running
+// batch, the partial final pass is charged at its own smaller shape, not as
+// a full-size pass.
+func TestBacklogExactTailPass(t *testing.T) {
 	shrink := func(req pipeline.Request) pipeline.Report {
 		b := req.Batch
 		if b > 2 {
@@ -159,7 +135,7 @@ func TestEvaluateExactTailPass(t *testing.T) {
 		}
 		return pipeline.Report{Batch: b, StepSec: float64(b), PrefillSec: 10}
 	}
-	s, err := Evaluate(model.OPT30B, batches, shrink)
+	s, err := Backlog(model.OPT30B, []workload.Class{workload.Short, workload.Short, workload.Short}, 3, shrink, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,16 +148,15 @@ func TestEvaluateExactTailPass(t *testing.T) {
 
 // Failed-work accounting: OOM batches keep their jobs out of OutputTokens
 // and the makespan but surface them in FailedJobs/FailedJobIDs.
-func TestEvaluateFailedJobs(t *testing.T) {
-	jobs := jobsFromTrace([]workload.Class{workload.Short, workload.Short, workload.Long})
-	batches, _ := PackByClass(jobs, 2) // Long batch {2}, Short batch {0,1}
+func TestBacklogFailedJobs(t *testing.T) {
+	trace := []workload.Class{workload.Short, workload.Short, workload.Long} // Long batch {2}, Short batch {0,1}
 	longOOM := func(req pipeline.Request) pipeline.Report {
 		if req.Context == workload.Long.Input {
 			return pipeline.Report{OOM: true, Reason: "storage OOM"}
 		}
 		return pipeline.Report{Batch: req.Batch, StepSec: 1, PrefillSec: 1}
 	}
-	s, err := Evaluate(model.OPT30B, batches, longOOM)
+	s, err := Backlog(model.OPT30B, trace, 2, longOOM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +171,7 @@ func TestEvaluateFailedJobs(t *testing.T) {
 	}
 	// An engine reporting a non-OOM zero batch is equally unrunnable.
 	zero := func(pipeline.Request) pipeline.Report { return pipeline.Report{Batch: 0, StepSec: 1} }
-	s, err = Evaluate(model.OPT30B, batches, zero)
+	s, err = Backlog(model.OPT30B, trace, 2, zero, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,21 +184,17 @@ func TestEvaluateFailedJobs(t *testing.T) {
 // earliest-idle pipeline in plan order, so the makespan equals the maximum
 // pipeline load of that list schedule, run after run, and total tokens are
 // unchanged from the serial plan.
-func TestEvaluatePipelinesDeterministic(t *testing.T) {
+func TestBacklogPipelinesDeterministic(t *testing.T) {
 	var classes []workload.Class
 	for i := 0; i < 12; i++ {
 		classes = append(classes, []workload.Class{workload.Short, workload.Medium, workload.Long}[i%3])
-	}
-	batches, err := PackByClass(jobsFromTrace(classes), 2)
-	if err != nil {
-		t.Fatal(err)
 	}
 	fake := func(req pipeline.Request) pipeline.Report {
 		// Distinct per-class durations: TotalSec = prefill + (out-1)*step.
 		return pipeline.Report{Batch: req.Batch, StepSec: float64(req.Context) / 1e6, PrefillSec: 5}
 	}
 
-	serial, err := Evaluate(model.OPT30B, batches, fake)
+	serial, err := Backlog(model.OPT30B, classes, 2, fake, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +203,8 @@ func TestEvaluatePipelinesDeterministic(t *testing.T) {
 	// engine never shrinks, so each batch is one pass).
 	const P = 3
 	var load [P]float64
-	for _, b := range batches {
-		rep := fake(pipeline.Request{Model: model.OPT30B, Batch: len(b.Jobs), Context: b.Class.Input, OutputLen: b.Class.Output})
+	for _, b := range packByClass(classes, 2) {
+		rep := fake(pipeline.Request{Model: model.OPT30B, Batch: len(b.JobIDs), Context: b.Class.Input, OutputLen: b.Class.Output})
 		p := 0
 		for q := 1; q < P; q++ {
 			if load[q] < load[p] {
@@ -250,7 +221,7 @@ func TestEvaluatePipelinesDeterministic(t *testing.T) {
 	}
 
 	for trial := 0; trial < 5; trial++ {
-		s, err := Evaluate(model.OPT30B, batches, fake, WithPipelines(P))
+		s, err := Backlog(model.OPT30B, classes, 2, fake, P)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,10 +245,6 @@ func TestEvaluatePipelinesDeterministic(t *testing.T) {
 			t.Fatalf("per-pipeline batch counts sum to %d, want %d", nb, s.Batches-s.OOMBatches)
 		}
 	}
-
-	if _, err := Evaluate(model.OPT30B, batches, fake, WithPipelines(0)); err == nil {
-		t.Error("pipelines = 0 accepted")
-	}
 }
 
 // Integration: HILOS completes the same backlog faster than the FlexGen
@@ -288,19 +255,15 @@ func TestHILOSFinishesBacklogFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := jobsFromTrace(gen.Trace(64))
-	batches, err := PackByClass(jobs, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := gen.Trace(64)
 	m := model.OPT66B
 	flex := func(req pipeline.Request) pipeline.Report { return baseline.FlexSSD(tb).Run(tb, req) }
 	hil := func(req pipeline.Request) pipeline.Report { return core.Run(tb, req, core.DefaultOptions(16)) }
-	sFlex, err := Evaluate(m, batches, flex)
+	sFlex, err := Backlog(m, trace, 16, flex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sHil, err := Evaluate(m, batches, hil)
+	sHil, err := Backlog(m, trace, 16, hil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

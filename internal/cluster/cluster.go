@@ -28,10 +28,12 @@
 //
 // With both extensions disabled the loop reproduces the original
 // close-at-admission, run-to-completion scheduler event for event, so pure
-// offline studies are unchanged. The offline backlog of internal/serving is
-// the degenerate trace — every request arrives at time zero, priority 0,
-// over identical pipelines — and serving.Evaluate delegates to this
-// package's Dispatch core: there is one scheduling implementation, not two.
+// offline studies are unchanged. The offline backlog (backlog.go) is a
+// plan-order list schedule over the same dispatcher: batches are packed by
+// class up front and placed least-loaded on identical pipelines in that
+// order, not replayed through the event loop, whose interleaved full
+// batches and timeout-closed tails would give a different (up to 44%
+// longer) makespan.
 //
 // Everything is deterministic under -race: engine simulations are pure and
 // prewarmed on a worker pool, while admission, eviction and placement run

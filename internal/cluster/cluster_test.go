@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -327,10 +328,10 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(ok, []Request{{ID: 0, Class: workload.Short, ArrivalSec: -2}}); err == nil {
 		t.Error("negative arrival accepted")
 	}
-	if _, err := Dispatch(model.OPT30B, nil, okFleet, LeastLoaded); err == nil {
+	if _, err := dispatch(model.OPT30B, nil, okFleet, LeastLoaded); err == nil {
 		t.Error("empty plan accepted")
 	}
-	if _, err := Dispatch(model.OPT30B, []BatchJob{{Class: workload.Short}}, okFleet, LeastLoaded); err == nil {
+	if _, err := dispatch(model.OPT30B, []BatchJob{{Class: workload.Short}}, okFleet, LeastLoaded); err == nil {
 		t.Error("empty batch accepted")
 	}
 }
@@ -347,7 +348,7 @@ func TestDispatchExactTailPass(t *testing.T) {
 		return pipeline.Report{Batch: b, PrefillSec: 10, StepSec: float64(b)}
 	}
 	batches := []BatchJob{{Class: workload.Short, JobIDs: []int{0, 1, 2, 3, 4}}}
-	asgs, err := Dispatch(model.OPT30B, batches, []Pipeline{{Name: "p", Run: shrink}}, LeastLoaded)
+	asgs, err := dispatch(model.OPT30B, batches, []Pipeline{{Name: "p", Run: shrink}}, LeastLoaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +390,13 @@ func TestRunShapeConflictingClasses(t *testing.T) {
 		{ID: 0, Class: a, ArrivalSec: 0},
 		{ID: 1, Class: b, ArrivalSec: 0},
 	}
+	// The spy runs on the concurrent prewarm workers.
+	var mu sync.Mutex
 	var shapes []int
 	spy := func(req pipeline.Request) pipeline.Report {
+		mu.Lock()
 		shapes = append(shapes, req.Context)
+		mu.Unlock()
 		return pipeline.Report{Batch: req.Batch, PrefillSec: 1}
 	}
 	s, err := Run(Config{
@@ -491,7 +496,7 @@ func TestSharedEngineIDMemoizesAcrossPipelines(t *testing.T) {
 		{Class: workload.Short, JobIDs: []int{2, 3}},
 		{Class: workload.Long, JobIDs: []int{4, 5}},
 	}
-	if _, err := Dispatch(model.OPT30B, batches, fleet, LeastLoaded); err != nil {
+	if _, err := dispatch(model.OPT30B, batches, fleet, LeastLoaded); err != nil {
 		t.Fatal(err)
 	}
 	// Two distinct shapes (Short×2, Long×2), one simulation each.
@@ -502,7 +507,7 @@ func TestSharedEngineIDMemoizesAcrossPipelines(t *testing.T) {
 	// Without EngineID, each pipeline keeps a private memo.
 	calls.Store(0)
 	private := []Pipeline{{Name: "a", Run: counting}, {Name: "b", Run: counting}}
-	if _, err := Dispatch(model.OPT30B, batches, private, LeastLoaded); err != nil {
+	if _, err := dispatch(model.OPT30B, batches, private, LeastLoaded); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 4 {

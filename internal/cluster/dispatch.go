@@ -62,8 +62,8 @@ type Policy string
 // batch (no OOM); a batch no pipeline can place fails as a unit.
 const (
 	// LeastLoaded assigns to the earliest-available pipeline (ties: lowest
-	// index) — the classic list schedule, and exactly the homogeneous
-	// multi-pipeline semantics of serving.Evaluate.
+	// index) — the classic list schedule; Backlog applies it in plan order
+	// over identical pipelines.
 	LeastLoaded Policy = "least-loaded"
 	// CheapestFeasible assigns to the pipeline with the lowest dollar cost
 	// for the batch (amortized $/h × execution seconds; ties: earliest
@@ -145,7 +145,7 @@ type repKey struct {
 }
 
 // dispatcher is the policy layer shared by the event loop (trace-driven
-// admission, Run) and Dispatch (pre-formed plans, serving.Evaluate's path).
+// admission, Run) and dispatch (Backlog's pre-formed offline plan).
 // It is single-goroutine after prewarming, which keeps assignment
 // deterministic. Report memoization is two-level: a private repcache.Group,
 // whose per-key singleflight also serializes the prewarm workers on
@@ -459,23 +459,12 @@ func (d *dispatcher) commit(b BatchJob, pl placement) Assignment {
 	}
 }
 
-// assign picks a pipeline for the batch per the policy, advances that
-// pipeline's clock, and returns the assignment. Failed batches leave every
-// clock untouched.
-func (d *dispatcher) assign(b BatchJob) Assignment {
-	pl, _, _ := d.plan(b, 0)
-	if pl.p < 0 {
-		return Assignment{Batch: b, Pipeline: -1, Reason: pl.reason}
-	}
-	return d.commit(b, pl)
-}
-
-// Dispatch assigns pre-formed batches to fleet pipelines in slice order
-// under the policy and returns one assignment per batch. It is the
-// policy core behind both the trace-driven cluster (Run forms batches via
-// the event loop first) and serving.Evaluate (whose offline plan is the
-// special case of identical pipelines and all-zero release times).
-func Dispatch(m model.Config, batches []BatchJob, fleet []Pipeline, policy Policy) ([]Assignment, error) {
+// dispatch places pre-formed batches on fleet pipelines in slice order
+// under the policy, every batch released at time zero, and returns one
+// assignment per batch; a batch no pipeline can place fails as a unit and
+// leaves every clock untouched. It is Backlog's plan-order list schedule;
+// the event loop (Run) forms and places its batches itself.
+func dispatch(m model.Config, batches []BatchJob, fleet []Pipeline, policy Policy) ([]Assignment, error) {
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("cluster: empty plan")
 	}
@@ -483,13 +472,11 @@ func Dispatch(m model.Config, batches []BatchJob, fleet []Pipeline, policy Polic
 	if err != nil {
 		return nil, err
 	}
+	var shapes []prewarmShape
 	for i, b := range batches {
 		if len(b.JobIDs) == 0 {
 			return nil, fmt.Errorf("cluster: batch %d is empty", i)
 		}
-	}
-	var shapes []prewarmShape
-	for _, b := range batches {
 		for p := range fleet {
 			shapes = append(shapes, prewarmShape{p: p, c: b.Class, size: len(b.JobIDs)})
 		}
@@ -497,7 +484,12 @@ func Dispatch(m model.Config, batches []BatchJob, fleet []Pipeline, policy Polic
 	d.prewarm(shapes)
 	out := make([]Assignment, len(batches))
 	for i, b := range batches {
-		out[i] = d.assign(b)
+		pl, _, _ := d.plan(b, 0)
+		if pl.p < 0 {
+			out[i] = Assignment{Batch: b, Pipeline: -1, Reason: pl.reason}
+			continue
+		}
+		out[i] = d.commit(b, pl)
 	}
 	return out, nil
 }
