@@ -43,13 +43,6 @@
 // ≥ 1.2x (both pure-ILP ratios, checked at any GOMAXPROCS), and the
 // accelerator serial/4-worker pair (BenchmarkAcceleratorAttention16K*) must
 // clear 1.5x under the same ≥ 4-proc gate as the attention pair.
-//
-// `hilos-bench -tune` calibrates the kernel chunk span for the current
-// machine: it sweeps K/V chunk spans over a decode-shape attention call and
-// reports the knee as a hilos.SetKernelCacheBudget value. The default budget
-// is a fixed constant (never probed from the host), so chunk geometry — part
-// of the numeric contract — only changes when a user applies the reported
-// knob explicitly.
 package main
 
 import (
@@ -58,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"regexp"
 	"strconv"
@@ -66,8 +58,6 @@ import (
 	"time"
 
 	hilos "repro"
-	"repro/internal/attention"
-	"repro/internal/tensor"
 )
 
 // benchResult is one benchmark's recorded measurements.
@@ -333,59 +323,6 @@ func checkKernelRatios(current, baseline benchFile, maxRegress float64) error {
 	return nil
 }
 
-// runTune sweeps K/V chunk spans on a decode-shape Blocked attention call
-// and reports the knee: the smallest span within 5% of the fastest — smaller
-// chunks balance better across workers, so prefer them when the cache stops
-// mattering. It prints the SetKernelCacheBudget value that reproduces the
-// knee span for this head dimension. Tuning is an explicit act: nothing is
-// persisted, and untuned runs keep the fixed default budget so results
-// replay identically across machines.
-func runTune(seq, dim, workers int) {
-	rng := rand.New(rand.NewSource(1))
-	q := tensor.RandMat(rng, 1, dim, 1)
-	k := tensor.RandMat(rng, seq, dim, 1)
-	v := tensor.RandMat(rng, seq, dim, 1)
-	if workers <= 0 {
-		workers = tensor.DefaultWorkers()
-	}
-	defer tensor.SetChunkTokens(0)
-	fmt.Printf("chunk-span sweep: seq=%d dim=%d workers=%d (current budget %d B → span %d)\n",
-		seq, dim, workers, tensor.CacheBudget(), attention.ChunkSpan(dim, 128))
-	type point struct {
-		span int
-		sec  float64
-	}
-	var pts []point
-	for span := 256; span <= 65536 && span <= 2*seq; span *= 2 {
-		tensor.SetChunkTokens(span)
-		attention.BlockedWorkers(q, k, v, nil, 128, workers) // warm-up
-		const reps = 3
-		t0 := time.Now()
-		for r := 0; r < reps; r++ {
-			attention.BlockedWorkers(q, k, v, nil, 128, workers)
-		}
-		sec := time.Since(t0).Seconds() / reps
-		pts = append(pts, point{span, sec})
-		fmt.Printf("  span %6d: %8.2f ms/op  %7.1f Mtok/s\n", span, sec*1e3, float64(seq)/sec/1e6)
-	}
-	best := pts[0]
-	for _, p := range pts {
-		if p.sec < best.sec {
-			best = p
-		}
-	}
-	knee := best
-	for _, p := range pts {
-		if p.sec <= best.sec*1.05 {
-			knee = p
-			break
-		}
-	}
-	budget := knee.span * 2 * dim * 4
-	fmt.Printf("fastest span %d (%.2f ms/op); knee span %d → hilos.SetKernelCacheBudget(%d)\n",
-		best.span, best.sec*1e3, knee.span, budget)
-}
-
 func runBenchMode(jsonOut, baselinePath string, maxRegress float64) error {
 	current, err := parseBench(os.Stdin)
 	if err != nil {
@@ -424,16 +361,7 @@ func main() {
 	benchJSON := flag.String("bench-json", "", "parse `go test -bench` output from stdin and write it as JSON to this path")
 	benchBaseline := flag.String("bench-baseline", "", "compare stdin's scheduler benchmarks against this BENCH_*.json baseline")
 	maxRegress := flag.Float64("max-regress", 0.20, "allowed fractional regression of the scheduler/reference ratio")
-	tune := flag.Bool("tune", false, "sweep kernel K/V chunk spans and report the knee as a SetKernelCacheBudget value")
-	tuneSeq := flag.Int("tune-seq", 64*1024, "context length (tokens) for the -tune sweep")
-	tuneDim := flag.Int("tune-dim", 128, "head dimension for the -tune sweep")
-	tuneWorkers := flag.Int("tune-workers", 0, "worker count for the -tune sweep (0 = pool default)")
 	flag.Parse()
-
-	if *tune {
-		runTune(*tuneSeq, *tuneDim, *tuneWorkers)
-		return
-	}
 
 	if *benchJSON != "" || *benchBaseline != "" {
 		if err := runBenchMode(*benchJSON, *benchBaseline, *maxRegress); err != nil {

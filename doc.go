@@ -229,18 +229,15 @@
 // through the striped Dot, while small products keep the original exact
 // axpy loop.
 //
-// Chunk geometry is cache-budget-derived: the attention and accelerator
-// kernels size their block-aligned K/V chunk spans so one chunk's K and V
-// rows at FP32 fit a process-wide per-worker budget
-// (attention.ChunkSpan(headDim, blockSize); hilos.SetKernelCacheBudget /
-// KernelCacheBudget, with hilos.SetKernelChunkTokens pinning the span
-// outright). The default budget is a fixed 1 MiB constant — deliberately
-// never probed from the host CPU — because the chunk partition shapes the
-// fixed reduction tree and is therefore part of the numeric contract:
-// results are bit-identical across worker counts for any budget, and
-// bit-identical across machines exactly when budgets agree. Tuning is an
-// explicit act: `hilos-bench -tune` sweeps spans over a decode-shape call
-// and reports the knee as a SetKernelCacheBudget value to apply by hand.
+// Chunk geometry is fixed, as the accelerator's is: the attention and
+// accelerator kernels split K/V into block-aligned chunks whose K and V rows
+// at FP32 fit a constant 1 MiB per-worker budget
+// (attention.ChunkSpan(headDim, blockSize), attention.CacheBudgetBytes;
+// reported by hilos.KernelChunkSpan and KernelCacheBudget). The chunk
+// partition shapes the fixed reduction tree, so it is part of the numeric
+// contract: it is a pure function of shape, never probed from the host and
+// never settable, so no setting anywhere in the process can move a kernel
+// output bit.
 //
 // Within one attention call the kernels are parallel: a process-wide worker
 // pool (tensor.ParallelFor — long-lived goroutines, a shared atomic item
@@ -250,9 +247,8 @@
 // calls allocate only the output. Parallel results are bit-identical to a
 // one-worker run for every worker count, by construction rather than by
 // tolerance: the K/V range is split into block-aligned chunks as a pure
-// function of shape + settings (never of the worker count), every work
-// item writes only its own index-owned Partial, and each row's chunk
-// partials reduce
+// function of shape (never of the worker count), every work item writes
+// only its own index-owned Partial, and each row's chunk partials reduce
 // through a fixed-shape binary tree of Merge calls (stride 1, 2, 4, …) whose
 // combination order depends only on the chunk count — goroutine completion
 // order can never reach a float32 bit. Property and fuzz tests pin
@@ -263,13 +259,11 @@
 // index-owned slots and keeps block selection serial and deterministic; the
 // accelerator model and large MatMuls shard rows on the same pool.
 //
-// Picking Workers: the default (tensor.DefaultWorkers, overridable
-// process-wide with tensor.SetWorkers or hilos.SetKernelWorkers) is
-// GOMAXPROCS, right for latency-sensitive single-call workloads; cap it at
-// 1–2 when many attention calls already run concurrently (e.g. under the
-// experiment sweep pool) so the pool isn't oversubscribed; the explicit
-// *Workers kernel variants pin a count per call for benchmarking. Worker
-// count never changes results — only latency versus CPU.
+// Workers: kernels shard across tensor.DefaultWorkers (GOMAXPROCS;
+// reported by hilos.KernelWorkers), so GOMAXPROCS is the one way to bound
+// kernel CPU for a process. The explicit *Workers kernel variants pin a count
+// per call for benchmarking. Worker count never changes results — only
+// latency versus CPU.
 //
 // Experiment tables evaluate their sweep points concurrently on a bounded
 // worker pool with index-ordered assembly, so regenerated tables are

@@ -284,40 +284,18 @@ func AcceleratorTable3(headDim int) ([]accel.Utilization, error) {
 	return accel.Table3(headDim)
 }
 
-// SetKernelWorkers overrides the process-wide worker count the functional
-// attention kernels and large MatMuls shard across (n ≤ 0 restores the
-// GOMAXPROCS default). Worker count never changes results — parallel runs
-// are bit-identical to serial — only latency versus CPU; cap it at 1–2 when
-// many kernel calls already run concurrently so the pool isn't
-// oversubscribed.
-func SetKernelWorkers(n int) { tensor.SetWorkers(n) }
-
-// KernelWorkers reports the worker count kernels currently shard across.
+// KernelWorkers reports the worker count the functional attention kernels
+// and large MatMuls shard across: GOMAXPROCS. Worker count never changes
+// results — parallel runs are bit-identical to serial.
 func KernelWorkers() int { return tensor.DefaultWorkers() }
 
-// SetKernelCacheBudget sets the per-worker cache budget (bytes) the
-// attention and accelerator kernels size their K/V chunk spans against
-// (n ≤ 0 restores the fixed 1 MiB default). Unlike worker count, the budget
-// IS part of the numeric contract: it shapes the chunk partition and thus
-// the fixed reduction tree, so results stay bit-identical across worker
-// counts for any budget, but replaying a run bit-for-bit requires the same
-// budget. The default is deliberately a constant — never probed from the
-// host — so untuned runs reproduce identically across machines; use
-// `hilos-bench -tune` to find the knee for a given box, then set it here
-// explicitly.
-func SetKernelCacheBudget(n int) { tensor.SetCacheBudget(n) }
+// KernelCacheBudget reports the fixed per-worker cache budget, in bytes,
+// that the kernels size their K/V chunk spans against.
+func KernelCacheBudget() int { return attention.CacheBudgetBytes }
 
-// KernelCacheBudget reports the active per-worker cache budget in bytes.
-func KernelCacheBudget() int { return tensor.CacheBudget() }
-
-// SetKernelChunkTokens pins the kernel K/V chunk span directly in tokens,
-// bypassing the cache-budget sizing (n ≤ 0 restores adaptive sizing). Used
-// by calibration sweeps; like the budget, the pin is part of the numeric
-// contract.
-func SetKernelChunkTokens(n int) { tensor.SetChunkTokens(n) }
-
-// KernelChunkSpan reports the K/V chunk span (tokens) the kernels would use
-// for the given head dimension and block size under the current settings.
+// KernelChunkSpan reports the K/V chunk span (tokens) the kernels use for
+// the given head dimension and block size. The span shapes the fixed
+// reduction tree, so it is part of the numeric contract.
 func KernelChunkSpan(headDim, blockSize int) int {
 	return attention.ChunkSpan(headDim, blockSize)
 }

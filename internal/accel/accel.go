@@ -13,10 +13,7 @@ package accel
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/attention"
-	"repro/internal/fp16"
 	"repro/internal/tensor"
 )
 
@@ -106,100 +103,6 @@ func (a *Accelerator) validateAttention(q, k, v, hostScores, hostV tensor.Mat) e
 		return fmt.Errorf("accel: host partial shape mismatch")
 	}
 	return nil
-}
-
-// attentionSerial is the original single-goroutine-per-group dataflow,
-// retained as the golden reference for the chunk-sharded AttentionWorkers:
-// with the chunk span pinned past the sequence length the parallel datapath
-// reduces to exactly this association, which the equivalence tests pin
-// bit-for-bit.
-//
-//lint:allow floataccum score·V and host-partial folds model the hardware's FP32 accumulators
-func (a *Accelerator) attentionSerial(q, k, v tensor.Mat, mask []bool, hostScores tensor.Mat, hostV tensor.Mat) (tensor.Mat, error) {
-	if err := a.validateAttention(q, k, v, hostScores, hostV); err != nil {
-		return tensor.Mat{}, err
-	}
-
-	// Storage precision emulation.
-	q = q.Clone().RoundFP16()
-	k = k.Clone().RoundFP16()
-	v = v.Clone().RoundFP16()
-
-	s := k.Rows
-	sPad := PadSequence(s)
-	scale := float32(1 / math.Sqrt(float64(a.cfg.HeadDim)))
-
-	out := tensor.New(q.Rows, v.Cols)
-	for g := 0; g < a.cfg.DGroup; g++ {
-		qrow := q.Row(g)
-
-		// Pass over blocks: query-key product unit with online transpose,
-		// then softmax statistics aggregation (first pass of Algorithm 1).
-		scores := make([]float32, sPad) // SM-Buf contents (stored FP16)
-		st := attention.NewStats()
-		for lo := 0; lo < sPad; lo += BlockTokens {
-			hi := lo + BlockTokens
-			if hi > sPad {
-				hi = sPad
-			}
-			blockScores := a.qkBlock(qrow, k, lo, hi, scale)
-			// Hardware stores QKᵀ results at FP16 before the softmax reads
-			// them back from SM-Buf.
-			fp16.RoundSlice(blockScores)
-			copy(scores[lo:hi], blockScores)
-			bm := blockMask(mask, lo, hi, s)
-			mB, sB := attention.BlockStats(blockScores, bm)
-			st.UpdateBlock(mB, sB)
-		}
-
-		// Merge the host-side delayed-writeback partial (new KV entries
-		// buffered in host DRAM; the CPU shipped only QKᵀ scalars + V rows).
-		partial := attention.NewPartial(v.Cols)
-		if hostScores.Rows > 0 {
-			hp := attention.PartialFromScores(hostScores.Row(g), hostV)
-			partial.Merge(hp)
-			st.Merge(hp.Stats)
-		}
-
-		// Second pass: softmax normalization unit + score-value product
-		// unit, block by block.
-		orow := out.Row(g)
-		for lo := 0; lo < sPad; lo += BlockTokens {
-			hi := lo + BlockTokens
-			if hi > sPad {
-				hi = sPad
-			}
-			bm := blockMask(mask, lo, hi, s)
-			for i := lo; i < hi; i++ {
-				x := scores[i]
-				if bm != nil && !bm[i-lo] {
-					x = attention.MaskValue
-				}
-				w := float32(math.Exp(float64(x) - st.M))
-				if w == 0 || i >= s {
-					continue
-				}
-				vrow := v.Row(i)
-				for j := range orow {
-					orow[j] += w * vrow[j]
-				}
-			}
-		}
-		// Fold in the host partial accumulator (already scaled to its own
-		// max; rescale to the global max).
-		if hostScores.Rows > 0 {
-			r := float32(math.Exp(partial.Stats.M - st.M))
-			for j := range orow {
-				orow[j] += partial.Acc[j] * r
-			}
-		}
-		// Division by the global denominator (second pass, line 11).
-		inv := float32(1 / st.Z)
-		for j := range orow {
-			orow[j] *= inv
-		}
-	}
-	return out, nil
 }
 
 // qkBlock is the query-key product unit for one block [lo,hi): it loads the

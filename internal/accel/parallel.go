@@ -13,7 +13,7 @@ import (
 // the kernel worker pool (tensor.ParallelFor) while staying bit-identical to
 // a one-worker run, mirroring the internal/attention dataflow:
 //
-//   - The chunk partition is a pure function of shape + settings
+//   - The chunk partition is a pure function of shape
 //     (attention.ChunkSpan at the hardware block size), never of worker
 //     count, and every (group, chunk) work item owns its score slice, its
 //     per-block stat slots and its chunk accumulator.
@@ -22,10 +22,9 @@ import (
 //     reduce through the same fixed-shape stride-doubling tree the
 //     attention kernels use.
 //
-// attentionSerial retains the original single-pass loop as the golden
-// reference; with the chunk span pinned past the sequence length the
-// parallel datapath degenerates to it bit-for-bit (one chunk, same fold
-// order), which the tests pin.
+// The tests keep a serial single-pass loop as the golden reference: with a
+// chunk span past the padded sequence length the parallel datapath
+// degenerates to it bit-for-bit (one chunk, same fold order).
 
 // accelMinParallelWork is the floor, in group·token units, below which the
 // grid runs inline on the calling goroutine: dispatching pool workers for a
@@ -80,9 +79,15 @@ func treeAddVec(parts [][]float32) []float32 {
 // score·V into per-chunk slots that reduce through the fixed tree (phase 2).
 // Results are bit-identical for every workers value, 1 included; Attention
 // delegates here with the default worker count.
+func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScores, hostV tensor.Mat, workers int) (tensor.Mat, error) {
+	return a.attention(q, k, v, mask, hostScores, hostV, attention.ChunkSpan(a.cfg.HeadDim, BlockTokens), workers)
+}
+
+// attention is AttentionWorkers over chunks of a given span, which must be a
+// positive multiple of BlockTokens.
 //
 //lint:allow floataccum per-chunk score·V slots model the hardware's FP32 accumulators
-func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScores, hostV tensor.Mat, workers int) (tensor.Mat, error) {
+func (a *Accelerator) attention(q, k, v tensor.Mat, mask []bool, hostScores, hostV tensor.Mat, span, workers int) (tensor.Mat, error) {
 	if err := a.validateAttention(q, k, v, hostScores, hostV); err != nil {
 		return tensor.Mat{}, err
 	}
@@ -98,7 +103,6 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 	sPad := PadSequence(s)
 	scale := float32(1 / math.Sqrt(float64(a.cfg.HeadDim)))
 	nb := (sPad + BlockTokens - 1) / BlockTokens
-	span := attention.ChunkSpan(a.cfg.HeadDim, BlockTokens)
 	nChunks := (sPad + span - 1) / span
 	dg := a.cfg.DGroup
 	if dg*sPad < accelMinParallelWork {
@@ -145,7 +149,7 @@ func (a *Accelerator) AttentionWorkers(q, k, v tensor.Mat, mask []bool, hostScor
 
 	// Per-group serial fold of block statistics in index order — the same
 	// association as the serial dataflow — then the host delayed-writeback
-	// partial merge, exactly as in attentionSerial.
+	// partial merge, exactly as in the serial reference.
 	stats := make([]attention.Stats, dg)
 	partials := make([]attention.Partial, dg)
 	for g := 0; g < dg; g++ {

@@ -1,20 +1,114 @@
 package accel
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/attention"
+	"repro/internal/fp16"
 	"repro/internal/tensor"
 )
 
-// pinChunk pins the kernel chunk span for the duration of a test body; the
-// pin is an atomic, so concurrent parallel tests under -race are safe.
-func pinChunk(t *testing.T, tokens int, body func()) {
-	t.Helper()
-	tensor.SetChunkTokens(tokens)
-	defer tensor.SetChunkTokens(0)
-	body()
+// blockSpan aligns a chunk length the way attention.ChunkSpan aligns its
+// spans: at least one hardware block, otherwise rounded down to a block
+// multiple.
+func blockSpan(tokens int) int {
+	return max(BlockTokens, tokens/BlockTokens*BlockTokens)
+}
+
+// attentionSerial is the original single-goroutine-per-group dataflow,
+// retained as the golden reference for the chunk-sharded datapath: with a
+// chunk span past the sequence length the parallel datapath reduces to
+// exactly this association, which the equivalence tests pin bit-for-bit.
+//
+//lint:allow floataccum score·V and host-partial folds model the hardware's FP32 accumulators
+func (a *Accelerator) attentionSerial(q, k, v tensor.Mat, mask []bool, hostScores tensor.Mat, hostV tensor.Mat) (tensor.Mat, error) {
+	if err := a.validateAttention(q, k, v, hostScores, hostV); err != nil {
+		return tensor.Mat{}, err
+	}
+
+	// Storage precision emulation.
+	q = q.Clone().RoundFP16()
+	k = k.Clone().RoundFP16()
+	v = v.Clone().RoundFP16()
+
+	s := k.Rows
+	sPad := PadSequence(s)
+	scale := float32(1 / math.Sqrt(float64(a.cfg.HeadDim)))
+
+	out := tensor.New(q.Rows, v.Cols)
+	for g := 0; g < a.cfg.DGroup; g++ {
+		qrow := q.Row(g)
+
+		// Pass over blocks: query-key product unit with online transpose,
+		// then softmax statistics aggregation (first pass of Algorithm 1).
+		scores := make([]float32, sPad) // SM-Buf contents (stored FP16)
+		st := attention.NewStats()
+		for lo := 0; lo < sPad; lo += BlockTokens {
+			hi := lo + BlockTokens
+			if hi > sPad {
+				hi = sPad
+			}
+			blockScores := a.qkBlock(qrow, k, lo, hi, scale)
+			// Hardware stores QKᵀ results at FP16 before the softmax reads
+			// them back from SM-Buf.
+			fp16.RoundSlice(blockScores)
+			copy(scores[lo:hi], blockScores)
+			bm := blockMask(mask, lo, hi, s)
+			mB, sB := attention.BlockStats(blockScores, bm)
+			st.UpdateBlock(mB, sB)
+		}
+
+		// Merge the host-side delayed-writeback partial (new KV entries
+		// buffered in host DRAM; the CPU shipped only QKᵀ scalars + V rows).
+		partial := attention.NewPartial(v.Cols)
+		if hostScores.Rows > 0 {
+			hp := attention.PartialFromScores(hostScores.Row(g), hostV)
+			partial.Merge(hp)
+			st.Merge(hp.Stats)
+		}
+
+		// Second pass: softmax normalization unit + score-value product
+		// unit, block by block.
+		orow := out.Row(g)
+		for lo := 0; lo < sPad; lo += BlockTokens {
+			hi := lo + BlockTokens
+			if hi > sPad {
+				hi = sPad
+			}
+			bm := blockMask(mask, lo, hi, s)
+			for i := lo; i < hi; i++ {
+				x := scores[i]
+				if bm != nil && !bm[i-lo] {
+					x = attention.MaskValue
+				}
+				w := float32(math.Exp(float64(x) - st.M))
+				if w == 0 || i >= s {
+					continue
+				}
+				vrow := v.Row(i)
+				for j := range orow {
+					orow[j] += w * vrow[j]
+				}
+			}
+		}
+		// Fold in the host partial accumulator (already scaled to its own
+		// max; rescale to the global max).
+		if hostScores.Rows > 0 {
+			r := float32(math.Exp(partial.Stats.M - st.M))
+			for j := range orow {
+				orow[j] += partial.Acc[j] * r
+			}
+		}
+		// Division by the global denominator (second pass, line 11).
+		inv := float32(1 / st.Z)
+		for j := range orow {
+			orow[j] *= inv
+		}
+	}
+	return out, nil
 }
 
 func accelEqual(a, b tensor.Mat) bool {
@@ -24,8 +118,8 @@ func accelEqual(a, b tensor.Mat) bool {
 // TestAttentionWorkersBitIdentical: the chunk-sharded datapath must produce
 // bit-identical output for every worker count, with and without a mask, for
 // shapes spanning single-block, ragged-tail, many-chunk and above-work-floor
-// grids. The span is pinned to two hardware blocks so even short sequences
-// exercise multi-chunk merges.
+// grids. The span is two hardware blocks so even short sequences exercise
+// multi-chunk merges.
 func TestAttentionWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	shapes := []struct{ dg, s, d int }{
@@ -35,37 +129,36 @@ func TestAttentionWorkersBitIdentical(t *testing.T) {
 		{8, 4096, 16}, // above accelMinParallelWork: pool actually engaged
 		{3, 513, 128}, // max head dim, ragged
 	}
-	pinChunk(t, 2*BlockTokens, func() {
-		for _, sh := range shapes {
-			acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := tensor.RandMat(rng, sh.dg, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			var mask []bool
-			if sh.s > 200 {
-				mask = make([]bool, sh.s)
-				for i := range mask {
-					mask[i] = rng.Intn(8) != 0
-				}
-			}
-			base, err := acc.AttentionWorkers(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, 3, 8} {
-				got, err := acc.AttentionWorkers(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !accelEqual(base, got) {
-					t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
-				}
+	const span = 2 * BlockTokens
+	for _, sh := range shapes {
+		acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := tensor.RandMat(rng, sh.dg, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		var mask []bool
+		if sh.s > 200 {
+			mask = make([]bool, sh.s)
+			for i := range mask {
+				mask[i] = rng.Intn(8) != 0
 			}
 		}
-	})
+		base, err := acc.attention(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, span, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 3, 8} {
+			got, err := acc.attention(q, k, v, mask, tensor.Mat{}, tensor.Mat{}, span, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !accelEqual(base, got) {
+				t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
+			}
+		}
+	}
 }
 
 // TestAttentionWorkersHostPartialBitIdentical: the delayed-writeback merge
@@ -82,55 +175,53 @@ func TestAttentionWorkersHostPartialBitIdentical(t *testing.T) {
 	v := tensor.RandMat(rng, 700, 32, 1)
 	hostV := tensor.RandMat(rng, 9, 32, 1)
 	hostScores := tensor.RandMat(rng, 4, 9, 1)
-	pinChunk(t, 2*BlockTokens, func() {
-		base, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, 1)
+	const span = 2 * BlockTokens
+	base, err := acc.attention(q, k, v, nil, hostScores, hostV, span, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 8} {
+		got, err := acc.attention(q, k, v, nil, hostScores, hostV, span, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{2, 3, 8} {
-			got, err := acc.AttentionWorkers(q, k, v, nil, hostScores, hostV, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !accelEqual(base, got) {
-				t.Fatalf("host partial: workers=%d differs from workers=1", w)
-			}
+		if !accelEqual(base, got) {
+			t.Fatalf("host partial: workers=%d differs from workers=1", w)
 		}
-	})
+	}
 }
 
-// TestAttentionWorkersOneChunkMatchesSerial: with the span pinned past the
+// TestAttentionWorkersOneChunkMatchesSerial: with a span past the padded
 // sequence length the grid collapses to one chunk per group and the parallel
 // datapath must reproduce the retained serial reference bit-for-bit — the
 // same block fold order, the same single accumulator.
 func TestAttentionWorkersOneChunkMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	pinChunk(t, 1<<20, func() {
-		for _, sh := range []struct{ dg, s, d int }{
-			{1, 300, 64}, {4, 513, 32}, {2, 64, 16},
-		} {
-			acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
+	const span = 1 << 20 // one chunk: past every padded length below
+	for _, sh := range []struct{ dg, s, d int }{
+		{1, 300, 64}, {4, 513, 32}, {2, 64, 16},
+	} {
+		acc, err := New(Config{DGroup: sh.dg, HeadDim: sh.d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := tensor.RandMat(rng, sh.dg, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		want, err := acc.attentionSerial(q, k, v, nil, tensor.Mat{}, tensor.Mat{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 8} {
+			got, err := acc.attention(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, span, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := tensor.RandMat(rng, sh.dg, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			want, err := acc.attentionSerial(q, k, v, nil, tensor.Mat{}, tensor.Mat{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{1, 8} {
-				got, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !accelEqual(want, got) {
-					t.Fatalf("shape %+v workers=%d: one-chunk parallel differs from serial reference", sh, w)
-				}
+			if !accelEqual(want, got) {
+				t.Fatalf("shape %+v workers=%d: one-chunk parallel differs from serial reference", sh, w)
 			}
 		}
-	})
+	}
 }
 
 // TestTreeAddVecFixedShape: the vector tree reduction must be a pure
@@ -203,7 +294,8 @@ func TestCycleModelOverlapped(t *testing.T) {
 
 // FuzzAccelParallelEquivalence fuzzes group counts, sequence lengths, head
 // dims and chunk spans, asserting multi-worker runs stay bit-identical to
-// one-worker runs of the same grid.
+// one-worker runs of the same grid. The chunk length is block-aligned as
+// attention.ChunkSpan aligns its spans.
 func FuzzAccelParallelEquivalence(f *testing.F) {
 	f.Add(int64(1), 2, 300, 16, 128)
 	f.Add(int64(2), 1, 129, 64, 256)
@@ -220,14 +312,13 @@ func FuzzAccelParallelEquivalence(f *testing.F) {
 		q := tensor.RandMat(rng, dg, d, 1)
 		k := tensor.RandMat(rng, s, d, 1)
 		v := tensor.RandMat(rng, s, d, 1)
-		tensor.SetChunkTokens(chunk)
-		defer tensor.SetChunkTokens(0)
-		base, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, 1)
+		span := blockSpan(chunk)
+		base, err := acc.attention(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, span, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{3, 8} {
-			got, err := acc.AttentionWorkers(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, w)
+			got, err := acc.attention(q, k, v, nil, tensor.Mat{}, tensor.Mat{}, span, w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,9 +12,9 @@ import (
 // (tensor.ParallelFor) while staying bit-identical to a serial run for every
 // worker count. Two invariants make that hold:
 //
-//   - Partitioning is a pure function of shape + settings. The K/V range is
-//     split into block-aligned chunks of ChunkSpan(headDim, blockSize)
-//     tokens regardless of how many workers will run them, and the
+//   - Partitioning is a pure function of shape. The K/V range is split
+//     into block-aligned chunks of ChunkSpan(headDim, blockSize) tokens
+//     regardless of how many workers will run them, and the
 //     (query row × chunk) work items each own one Partial slot —
 //     index-ordered assembly, never a shared accumulator.
 //   - Reduction order is fixed. Chunk partials merge through a fixed-shape
@@ -32,6 +32,13 @@ import (
 // pure function of shape, so it cannot perturb results.
 const minParallelWork = 16 * 1024
 
+// CacheBudgetBytes is the per-worker cache budget the K/V chunk span is
+// sized against: a typical per-core L2 slice, so one chunk's K and V rows at
+// FP32 stay resident while a work item folds them. It is a constant, never
+// probed from the host, because the span shapes the fixed merge tree and is
+// therefore part of the numeric contract.
+const CacheBudgetBytes = 1 << 20
+
 // Chunk-span clamp. Below minChunkTokens the merge tree is deeper than the
 // fold work it saves; above maxChunkTokens the (row × chunk) grid stops
 // load-balancing long contexts.
@@ -42,39 +49,35 @@ const (
 
 // ChunkSpan returns the K/V chunk length, in tokens, used for range
 // sharding: the largest block-aligned span whose K rows plus V rows at FP32
-// fit the process-wide cache budget (tensor.CacheBudget), clamped to
-// [minChunkTokens, maxChunkTokens] and rounded down to a blockSize multiple
-// (at least one block). A positive tensor.SetChunkTokens pin bypasses the
-// budget-derived sizing — tests and cmd/hilos-bench -tune use it to sweep
-// spans directly.
+// fit CacheBudgetBytes, clamped to [minChunkTokens, maxChunkTokens] and
+// aligned by alignSpan.
 //
-// The span is a pure function of (headDim, blockSize) and the two settings.
-// Worker count is deliberately NOT an input: the chunk partition shapes the
-// fixed merge tree, so admitting workers would break the bit-identity of
-// parallel results across worker counts — the invariant the whole dataflow
-// is built around.
+// The span is a pure function of (headDim, blockSize). Worker count is
+// deliberately NOT an input: the chunk partition shapes the fixed merge
+// tree, so admitting workers would break the bit-identity of parallel
+// results across worker counts — the invariant the whole dataflow is built
+// around.
 func ChunkSpan(headDim, blockSize int) int {
 	if blockSize <= 0 {
 		blockSize = 128
 	}
-	target := tensor.ChunkTokensOverride()
-	if target <= 0 {
-		if headDim <= 0 {
-			headDim = 1
-		}
-		// Per token resident per fold: one K row + one V row at FP32.
-		target = tensor.CacheBudget() / (2 * headDim * 4)
-		if target < minChunkTokens {
-			target = minChunkTokens
-		}
-		if target > maxChunkTokens {
-			target = maxChunkTokens
-		}
+	if headDim <= 0 {
+		headDim = 1
 	}
-	if blockSize >= target {
+	// Per token resident per fold: one K row + one V row at FP32.
+	target := CacheBudgetBytes / (2 * headDim * 4)
+	target = max(minChunkTokens, min(target, maxChunkTokens))
+	return alignSpan(target, blockSize)
+}
+
+// alignSpan makes a span block-aligned: at least one block, otherwise
+// rounded down to a blockSize multiple. Every kernel that splits K/V into
+// chunks relies on this — a block never straddles two chunks.
+func alignSpan(span, blockSize int) int {
+	if blockSize >= span {
 		return blockSize
 	}
-	return target / blockSize * blockSize
+	return span / blockSize * blockSize
 }
 
 // chunkCountFor returns the number of K/V range chunks for kRows tokens at
@@ -176,14 +179,16 @@ func BlockedWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) ten
 	if blockSize <= 0 {
 		blockSize = 128
 	}
+	return blocked(q, k, v, mask, blockSize, ChunkSpan(q.Cols, blockSize), workers)
+}
+
+// blocked is BlockedWorkers over chunks of a given block-aligned span.
+func blocked(q, k, v tensor.Mat, mask []bool, blockSize, span, workers int) tensor.Mat {
 	scale := float32(1 / math.Sqrt(float64(q.Cols)))
 	out := tensor.New(q.Rows, v.Cols)
 	if k.Rows == 0 || q.Rows == 0 {
 		return out
 	}
-	// Read the span once per call: the partition must stay coherent even if
-	// a knob changes concurrently (both knob reads happen inside ChunkSpan).
-	span := ChunkSpan(q.Cols, blockSize)
 	nChunks := chunkCountFor(k.Rows, span)
 	if q.Rows*k.Rows < minParallelWork {
 		workers = 1
@@ -221,13 +226,17 @@ func GQAWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) tensor.
 	if blockSize <= 0 {
 		blockSize = 128
 	}
+	return gqa(q, k, v, mask, blockSize, ChunkSpan(q.Cols, blockSize), workers)
+}
+
+// gqa is GQAWorkers over chunks of a given block-aligned span.
+func gqa(q, k, v tensor.Mat, mask []bool, blockSize, span, workers int) tensor.Mat {
 	rows := q.Rows
 	scale := float32(1 / math.Sqrt(float64(q.Cols)))
 	out := tensor.New(rows, v.Cols)
 	if k.Rows == 0 || rows == 0 {
 		return out
 	}
-	span := ChunkSpan(q.Cols, blockSize)
 	nChunks := chunkCountFor(k.Rows, span)
 	if rows*k.Rows < minParallelWork {
 		workers = 1
@@ -272,8 +281,7 @@ func GQAWorkers(q, k, v tensor.Mat, mask []bool, blockSize, workers int) tensor.
 
 // topKBlocksRow runs the full serial per-row TopKBlocks dataflow for one
 // query row using lane-local scratch: score every cached token, mean-pool
-// blocks in float64, select keepBlocks deterministically, attend over the
-// kept blocks in selection order.
+// blocks in float64, then attendKept.
 func topKBlocksRow(ln *lane, qrow []float32, k, v tensor.Mat, mask []bool, scale float32, keepBlocks, blockSize, nBlocks int, orow []float32) {
 	scores := ln.scores
 	blockScore := ln.blockScore
@@ -287,15 +295,19 @@ func topKBlocksRow(ln *lane, qrow []float32, k, v tensor.Mat, mask []bool, scale
 		}
 		blockScore[b] = poolBlock(scores, lo, hi)
 	}
-	keep := topKIndices(blockScore, keepBlocks)
+	attendKept(ln, v, keepBlocks, blockSize, orow)
+}
+
+// attendKept selects the keepBlocks best pooled blocks in ln.blockScore
+// deterministically and attends over their ln.scores in selection order,
+// writing the normalized output row.
+func attendKept(ln *lane, v tensor.Mat, keepBlocks, blockSize int, orow []float32) {
+	scores := ln.scores
 	p := &ln.part
 	p.Acc = growF(p.Acc, v.Cols)
 	p.Reset()
-	for _, b := range keep {
-		lo, hi := b*blockSize, (b+1)*blockSize
-		if hi > k.Rows {
-			hi = k.Rows
-		}
+	for _, b := range topKIndices(ln.blockScore, keepBlocks) {
+		lo, hi := b*blockSize, min((b+1)*blockSize, len(scores))
 		p.AddBlock(scores[lo:hi], v, lo)
 	}
 	p.FinalizeInto(orow)
@@ -322,6 +334,12 @@ func TopKBlocksWorkers(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize, w
 	if blockSize <= 0 {
 		blockSize = 16
 	}
+	return topKBlocks(q, k, v, mask, keepBlocks, blockSize, ChunkSpan(q.Cols, blockSize), workers)
+}
+
+// topKBlocks is TopKBlocksWorkers whose single-row score+pool phase runs
+// over chunks of a given block-aligned span.
+func topKBlocks(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize, span, workers int) tensor.Mat {
 	scale := float32(1 / math.Sqrt(float64(q.Cols)))
 	nBlocks := (k.Rows + blockSize - 1) / blockSize
 	out := tensor.New(q.Rows, v.Cols)
@@ -345,7 +363,6 @@ func TopKBlocksWorkers(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize, w
 	// Single query row: phase 1 (scores + pooled block means) in parallel
 	// over chunks, phases 2–3 (selection, kept-block attention) serial.
 	qrow := q.Row(0)
-	span := ChunkSpan(q.Cols, blockSize)
 	nChunks := chunkCountFor(k.Rows, span)
 	ln := getLane()
 	ln.scores = growF(ln.scores, k.Rows)
@@ -370,18 +387,7 @@ func TopKBlocksWorkers(q, k, v tensor.Mat, mask []bool, keepBlocks, blockSize, w
 			blockScore[b] = poolBlock(scores, blo, bhi)
 		}
 	})
-	keep := topKIndices(blockScore, keepBlocks)
-	p := &ln.part
-	p.Acc = growF(p.Acc, v.Cols)
-	p.Reset()
-	for _, b := range keep {
-		lo, hi := b*blockSize, (b+1)*blockSize
-		if hi > k.Rows {
-			hi = k.Rows
-		}
-		p.AddBlock(scores[lo:hi], v, lo)
-	}
-	p.FinalizeInto(out.Row(0))
+	attendKept(ln, v, keepBlocks, blockSize, out.Row(0))
 	putLane(ln)
 	return out
 }

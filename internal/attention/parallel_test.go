@@ -9,19 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// withChunkTokens pins the K/V chunk span so small test inputs exercise
-// many-chunk dataflows (chunk partials + tree merge), restoring adaptive
-// sizing afterwards. The pin goes through tensor.SetChunkTokens — an atomic,
-// so concurrent parallel tests under -race never see a torn write. The
-// partition is part of the numeric contract, so every comparison inside body
-// sees the same value.
-func withChunkTokens(t *testing.T, n int, body func()) {
-	t.Helper()
-	tensor.SetChunkTokens(n)
-	defer tensor.SetChunkTokens(0)
-	body()
-}
-
 // matsEqual reports bit-identity (reflect.DeepEqual on the backing data).
 func matsEqual(a, b tensor.Mat) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols && reflect.DeepEqual(a.Data, b.Data)
@@ -32,7 +19,8 @@ var workerCounts = []int{1, 2, 3, 8}
 // TestBlockedWorkersBitIdentical: for shapes spanning prefill (many rows),
 // decode (one row, long context), ragged tails and tiny blocks, every worker
 // count must produce bit-identical output — the fixed-shape tree merge and
-// index-owned partials make the result a pure function of shape.
+// index-owned partials make the result a pure function of shape. The span is
+// 128 tokens so small inputs exercise many-chunk merges.
 func TestBlockedWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	shapes := []struct{ rows, s, d, bs int }{
@@ -41,34 +29,33 @@ func TestBlockedWorkersBitIdentical(t *testing.T) {
 		{7, 300, 24, 32},   // prefill: rows × chunks grid
 		{16, 64, 16, 128},  // blockSize > context
 		{3, 513, 8, 1},     // blockSize 1
-		{2, 4096, 16, 128}, // above minParallelWork with default chunks
+		{2, 4096, 16, 128}, // above minParallelWork
 	}
-	withChunkTokens(t, 128, func() {
-		for _, sh := range shapes {
-			q := tensor.RandMat(rng, sh.rows, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			var mask []bool
-			if sh.s > 10 {
-				mask = make([]bool, sh.s)
-				for i := range mask {
-					mask[i] = rng.Intn(8) != 0
-				}
-			}
-			base := BlockedWorkers(q, k, v, mask, sh.bs, 1)
-			for _, w := range workerCounts[1:] {
-				got := BlockedWorkers(q, k, v, mask, sh.bs, w)
-				if !matsEqual(base, got) {
-					t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
-				}
-			}
-			// Sanity anchor: parallel output still matches the exact reference.
-			ref := Ref(q, k, v, mask)
-			if d := tensor.MaxAbsDiff(base, ref); d > tol {
-				t.Fatalf("shape %+v: parallel differs from Ref by %v", sh, d)
+	for _, sh := range shapes {
+		q := tensor.RandMat(rng, sh.rows, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		var mask []bool
+		if sh.s > 10 {
+			mask = make([]bool, sh.s)
+			for i := range mask {
+				mask[i] = rng.Intn(8) != 0
 			}
 		}
-	})
+		span := alignSpan(128, sh.bs)
+		base := blocked(q, k, v, mask, sh.bs, span, 1)
+		for _, w := range workerCounts[1:] {
+			got := blocked(q, k, v, mask, sh.bs, span, w)
+			if !matsEqual(base, got) {
+				t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
+			}
+		}
+		// Sanity anchor: parallel output still matches the exact reference.
+		ref := Ref(q, k, v, mask)
+		if d := tensor.MaxAbsDiff(base, ref); d > tol {
+			t.Fatalf("shape %+v: parallel differs from Ref by %v", sh, d)
+		}
+	}
 }
 
 // TestGQAWorkersBitIdenticalToBlocked: the shared-K/V-traversal GQA dataflow
@@ -76,53 +63,51 @@ func TestBlockedWorkersBitIdentical(t *testing.T) {
 // order, same tree) for every worker count.
 func TestGQAWorkersBitIdenticalToBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	withChunkTokens(t, 96, func() {
-		for _, sh := range []struct{ rows, s, d, bs int }{
-			{4, 500, 16, 32},
-			{8, 63, 8, 16},
-			{1, 700, 32, 64},
-		} {
-			q := tensor.RandMat(rng, sh.rows, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			blocked := BlockedWorkers(q, k, v, nil, sh.bs, 1)
-			for _, w := range workerCounts {
-				got := GQAWorkers(q, k, v, nil, sh.bs, w)
-				if !matsEqual(blocked, got) {
-					t.Fatalf("shape %+v: GQA workers=%d differs from Blocked", sh, w)
-				}
+	for _, sh := range []struct{ rows, s, d, bs int }{
+		{4, 500, 16, 32},
+		{8, 63, 8, 16},
+		{1, 700, 32, 64},
+	} {
+		q := tensor.RandMat(rng, sh.rows, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		span := alignSpan(96, sh.bs)
+		want := blocked(q, k, v, nil, sh.bs, span, 1)
+		for _, w := range workerCounts {
+			got := gqa(q, k, v, nil, sh.bs, span, w)
+			if !matsEqual(want, got) {
+				t.Fatalf("shape %+v: GQA workers=%d differs from Blocked", sh, w)
 			}
 		}
-	})
+	}
 }
 
 // TestTopKBlocksWorkersBitIdentical covers both parallel dataflows: the
 // multi-row row shard and the single-row chunked score+pool phase.
 func TestTopKBlocksWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	withChunkTokens(t, 64, func() {
-		for _, sh := range []struct{ rows, s, d, keep, bs int }{
-			{1, 800, 16, 5, 16}, // decode: chunked phase 1
-			{1, 801, 16, 3, 16}, // ragged tail
-			{6, 400, 16, 4, 32}, // row shard
-			{3, 100, 8, 99, 16}, // keep-everything degenerate
-		} {
-			q := tensor.RandMat(rng, sh.rows, sh.d, 1)
-			k := tensor.RandMat(rng, sh.s, sh.d, 1)
-			v := tensor.RandMat(rng, sh.s, sh.d, 1)
-			base := TopKBlocksWorkers(q, k, v, nil, sh.keep, sh.bs, 1)
-			for _, w := range workerCounts[1:] {
-				got := TopKBlocksWorkers(q, k, v, nil, sh.keep, sh.bs, w)
-				if !matsEqual(base, got) {
-					t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
-				}
+	for _, sh := range []struct{ rows, s, d, keep, bs int }{
+		{1, 800, 16, 5, 16}, // decode: chunked phase 1
+		{1, 801, 16, 3, 16}, // ragged tail
+		{6, 400, 16, 4, 32}, // row shard
+		{3, 100, 8, 99, 16}, // keep-everything degenerate
+	} {
+		q := tensor.RandMat(rng, sh.rows, sh.d, 1)
+		k := tensor.RandMat(rng, sh.s, sh.d, 1)
+		v := tensor.RandMat(rng, sh.s, sh.d, 1)
+		span := alignSpan(64, sh.bs)
+		base := topKBlocks(q, k, v, nil, sh.keep, sh.bs, span, 1)
+		for _, w := range workerCounts[1:] {
+			got := topKBlocks(q, k, v, nil, sh.keep, sh.bs, span, w)
+			if !matsEqual(base, got) {
+				t.Fatalf("shape %+v: workers=%d differs from workers=1", sh, w)
 			}
 		}
-	})
+	}
 }
 
 // TestChunkPartitionPureFunctionOfShape: the chunk grid may depend on shape
-// and the cache-budget settings only — never on worker count — and must
+// only — never on worker count — and must
 // tile the token range exactly for every (headDim, blockSize) pair.
 func TestChunkPartitionPureFunctionOfShape(t *testing.T) {
 	for _, d := range []int{1, 8, 64, 128, 4096} {
@@ -141,38 +126,21 @@ func TestChunkPartitionPureFunctionOfShape(t *testing.T) {
 	}
 }
 
-// TestChunkSpanTracksCacheBudget: the adaptive span scales with the budget
-// and inversely with head dimension, stays inside the clamp, and yields to
-// an explicit pin.
+// TestChunkSpanTracksCacheBudget: the span is CacheBudgetBytes over one K
+// plus one V row at FP32, scaling inversely with head dimension, clamped to
+// [minChunkTokens, maxChunkTokens] and block-aligned.
 func TestChunkSpanTracksCacheBudget(t *testing.T) {
-	defer tensor.SetCacheBudget(0)
-	defer tensor.SetChunkTokens(0)
-
-	tensor.SetCacheBudget(1 << 20) // default: 1 MiB
-	if got := ChunkSpan(64, 128); got != 2048 {
-		t.Fatalf("1 MiB / d=64: span %d, want 2048 (budget/(2·64·4) rounded to 128)", got)
-	}
-	if got := ChunkSpan(128, 128); got != 1024 {
-		t.Fatalf("1 MiB / d=128: span %d, want 1024", got)
-	}
-	tensor.SetCacheBudget(4 << 20)
-	if got := ChunkSpan(64, 128); got != 8192 {
-		t.Fatalf("4 MiB / d=64: span %d, want 8192", got)
-	}
-	// Clamp floor: a tiny budget cannot shrink the span below minChunkTokens.
-	tensor.SetCacheBudget(1024)
-	if got := ChunkSpan(64, 128); got != minChunkTokens {
-		t.Fatalf("1 KiB budget: span %d, want clamp floor %d", got, minChunkTokens)
-	}
-	// Clamp ceiling: a huge budget cannot blow past maxChunkTokens.
-	tensor.SetCacheBudget(1 << 30)
-	if got := ChunkSpan(1, 128); got != maxChunkTokens {
-		t.Fatalf("1 GiB budget: span %d, want clamp ceiling %d", got, maxChunkTokens)
-	}
-	// An explicit pin bypasses the budget entirely.
-	tensor.SetChunkTokens(600)
-	if got := ChunkSpan(64, 128); got != 512 {
-		t.Fatalf("pin 600: span %d, want 512 (block-aligned)", got)
+	for _, c := range []struct{ d, bs, want int }{
+		{64, 128, 2048},             // 1 MiB / (2·64·4)
+		{128, 128, 1024},            // 1 MiB / (2·128·4)
+		{1, 128, maxChunkTokens},    // 131072 clamps down
+		{1024, 128, minChunkTokens}, // 128 clamps up
+		{1024, 100, 200},            // clamp floor, then block-aligned
+		{64, 4096, 4096},            // span below one block becomes one block
+	} {
+		if got := ChunkSpan(c.d, c.bs); got != c.want {
+			t.Errorf("ChunkSpan(%d, %d) = %d, want %d", c.d, c.bs, got, c.want)
+		}
 	}
 }
 
@@ -216,8 +184,9 @@ func TestTreeMergeMatchesSerialFold(t *testing.T) {
 }
 
 // FuzzParallelBlockedEquivalence fuzzes shapes, block sizes and chunk
-// lengths, asserting multi-worker Blocked and GQA stay bit-identical to
-// their one-worker runs.
+// lengths, asserting multi-worker Blocked, GQA and TopKBlocks (keeping one
+// block in eight) stay bit-identical to their one-worker runs. The chunk
+// length is block-aligned as ChunkSpan aligns its spans.
 func FuzzParallelBlockedEquivalence(f *testing.F) {
 	f.Add(int64(1), 1, 300, 32, 40)
 	f.Add(int64(2), 5, 100, 16, 16)
@@ -230,16 +199,20 @@ func FuzzParallelBlockedEquivalence(f *testing.F) {
 		q := tensor.RandMat(rng, rows, 16, 1)
 		k := tensor.RandMat(rng, s, 16, 1)
 		v := tensor.RandMat(rng, s, 16, 1)
-		tensor.SetChunkTokens(chunk)
-		defer tensor.SetChunkTokens(0)
-		base := BlockedWorkers(q, k, v, nil, bs, 1)
-		gbase := GQAWorkers(q, k, v, nil, bs, 1)
+		span := alignSpan(chunk, bs)
+		keep := max(1, (s+bs-1)/bs/8)
+		base := blocked(q, k, v, nil, bs, span, 1)
+		gbase := gqa(q, k, v, nil, bs, span, 1)
+		tbase := topKBlocks(q, k, v, nil, keep, bs, span, 1)
 		for _, w := range []int{2, 3, 8} {
-			if got := BlockedWorkers(q, k, v, nil, bs, w); !matsEqual(base, got) {
+			if got := blocked(q, k, v, nil, bs, span, w); !matsEqual(base, got) {
 				t.Fatalf("rows=%d s=%d bs=%d chunk=%d: Blocked workers=%d diverged", rows, s, bs, chunk, w)
 			}
-			if got := GQAWorkers(q, k, v, nil, bs, w); !matsEqual(gbase, got) {
+			if got := gqa(q, k, v, nil, bs, span, w); !matsEqual(gbase, got) {
 				t.Fatalf("rows=%d s=%d bs=%d chunk=%d: GQA workers=%d diverged", rows, s, bs, chunk, w)
+			}
+			if got := topKBlocks(q, k, v, nil, keep, bs, span, w); !matsEqual(tbase, got) {
+				t.Fatalf("rows=%d s=%d bs=%d chunk=%d: TopKBlocks workers=%d diverged", rows, s, bs, chunk, w)
 			}
 		}
 		if !matsEqual(base, gbase) {

@@ -21,30 +21,11 @@ import (
 // results in a fixed order afterwards (e.g. attention's fixed-shape
 // tree-merge) — never in goroutine completion order.
 
-// workerOverride, when positive, pins the default kernel worker count.
-// Zero means "track runtime.GOMAXPROCS at call time".
-var workerOverride atomic.Int32
-
-// SetWorkers pins the default worker count used by the parallel kernels
-// (attention Blocked/GQA/TopKBlocks, accel.Attention, large MatMul calls).
-// n ≤ 0 restores the default of runtime.GOMAXPROCS. Results are bit-identical
-// for every worker count; the knob only trades call latency against CPU.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerOverride.Store(int32(n))
-}
-
-// DefaultWorkers returns the worker count parallel kernels use when the
-// caller does not pass one explicitly: the SetWorkers override if set,
-// otherwise runtime.GOMAXPROCS.
-func DefaultWorkers() int {
-	if n := workerOverride.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// DefaultWorkers returns the worker count the parallel kernels (attention
+// Blocked/GQA/TopKBlocks, accel.Attention, large MatMul calls) shard across:
+// runtime.GOMAXPROCS at call time. Results are bit-identical for every
+// worker count; the count only trades call latency against CPU.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // job is one ParallelFor invocation: a shared atomic item cursor plus the
 // body. Pool workers and the submitting goroutine all drain the same cursor,

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -36,17 +37,11 @@ func TestParallelForNested(t *testing.T) {
 	}
 }
 
-// TestSetWorkersOverride: SetWorkers pins DefaultWorkers; ≤ 0 restores the
-// GOMAXPROCS default.
-func TestSetWorkersOverride(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if got := DefaultWorkers(); got != 3 {
-		t.Fatalf("DefaultWorkers() = %d after SetWorkers(3)", got)
-	}
-	SetWorkers(0)
-	if got := DefaultWorkers(); got < 1 {
-		t.Fatalf("DefaultWorkers() = %d after reset", got)
+// TestDefaultWorkersTracksGOMAXPROCS: the default worker count is
+// runtime.GOMAXPROCS at call time; nothing in the process can override it.
+func TestDefaultWorkersTracksGOMAXPROCS(t *testing.T) {
+	if got, want := DefaultWorkers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("DefaultWorkers() = %d, want GOMAXPROCS %d", got, want)
 	}
 }
 
@@ -64,12 +59,10 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 	if a.Rows*a.Cols*b.Cols < matMulParallelFlops {
 		t.Fatalf("test shape below parallel floor")
 	}
-	defer SetWorkers(0)
 	par := MatMul(a, b)
 	for _, w := range []int{1, 2, 3, 8} {
-		SetWorkers(w)
-		if got := MatMul(a, b); !reflect.DeepEqual(par.Data, got.Data) {
-			t.Fatalf("MatMul with SetWorkers(%d) diverged", w)
+		if got := matMul(a, b, w); !reflect.DeepEqual(par.Data, got.Data) {
+			t.Fatalf("MatMul with %d workers diverged", w)
 		}
 	}
 }

@@ -154,12 +154,8 @@ func TestMatMulDotPathMatchesAxpy(t *testing.T) {
 		}
 	}
 	// Worker count must never reach a bit.
-	old := DefaultWorkers()
-	SetWorkers(1)
-	serial := MatMul(a, b)
-	SetWorkers(4)
-	par := MatMul(a, b)
-	SetWorkers(old)
+	serial := matMul(a, b, 1)
+	par := matMul(a, b, 4)
 	if !reflect.DeepEqual(serial.Data, par.Data) || !reflect.DeepEqual(serial.Data, got.Data) {
 		t.Fatal("MatMul differs across worker counts")
 	}

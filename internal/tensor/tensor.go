@@ -129,17 +129,20 @@ const matMulDotFlops = 1 << 20
 // 8-lane MAC reduction). Row results are index-owned, so the result is
 // bit-identical for any worker count; the small-product path reproduces the
 // original serial axpy loop exactly.
+func MatMul(a, b Mat) Mat { return matMul(a, b, DefaultWorkers()) }
+
+// matMul is MatMul with an explicit worker count, which applies only above
+// the parallel work floor.
 //
 //lint:allow floataccum GEMM deliberately emulates the accelerator's FP32 accumulators
-func MatMul(a, b Mat) Mat {
+func matMul(a, b Mat, workers int) Mat {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
 	flops := a.Rows * a.Cols * b.Cols
-	workers := 1
-	if a.Rows > 1 && flops >= matMulParallelFlops {
-		workers = DefaultWorkers()
+	if a.Rows <= 1 || flops < matMulParallelFlops {
+		workers = 1
 	}
 	if a.Rows >= 8 && a.Cols >= 8 && flops >= matMulDotFlops {
 		bt := b.T() // blocked transpose: b columns become contiguous rows
