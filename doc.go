@@ -349,8 +349,10 @@
 // cluster.deadline_misses, the robustness counters
 // (cluster.faults_injected, cluster.repairs, cluster.retried_batches/_jobs,
 // cluster.quarantines, cluster.failed_over_batches/_jobs,
-// cluster.degraded_batches/_jobs), the cluster.delay_sec histogram,
-// cluster.queue_depth.p<prio>.<class> gauges, cluster.makespan_sec,
+// cluster.degraded_batches/_jobs), the cluster.delay_sec histogram
+// (queueing delay of completed jobs only, like Summary.DelayMeanSec:
+// fault-aborted attempts are not observed, so its count equals
+// cluster.completed_jobs), cluster.queue_depth.p<prio>.<class> gauges, cluster.makespan_sec,
 // cluster.total_write_bytes, and per-pipeline
 // cluster.pipeline.<name>.{busy_sec, utilization, write_bytes, wear_pct,
 // write_pressure_bps, worn_out} gauges. The discrete-event engines

@@ -49,6 +49,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -140,7 +141,9 @@ type Config struct {
 	Retry RetryPolicy
 }
 
-// PipelineStats attributes completed work to one fleet member.
+// PipelineStats attributes work to one fleet member. Batches, Jobs,
+// OutputTokens and EnergyJ count completed batches only; BusySec, CostUSD
+// and WriteBytes also charge fault-aborted attempts.
 type PipelineStats struct {
 	Name    string
 	Batches int
@@ -158,10 +161,10 @@ type PipelineStats struct {
 	// EnergyErr records the first energy-integration failure (e.g. a
 	// misconfigured EnergyConfig), so a 0 EnergyJ is never silently wrong.
 	EnergyErr string
-	// WriteBytes is the physical flash bytes written executing this
-	// pipeline's completed work (prefill KV spills plus per-step decode
-	// writeback, from the engine's Report write accounting; 0 for
-	// DRAM-resident engines).
+	// WriteBytes is the physical flash bytes written on this pipeline
+	// (prefill KV spills plus per-step decode writeback, from the engine's
+	// Report write accounting, prorated for an attempt a fail-stop killed;
+	// 0 for DRAM-resident engines).
 	WriteBytes float64
 	// WearPct is WriteBytes as a percentage of the pipeline's total §6.6
 	// endurance budget (Devices × endurance.DefaultPBW petabytes written);
@@ -320,7 +323,7 @@ func (s Summary) PriorityByClass(priority int) (PriorityStats, bool) {
 // startSec is the trace's first arrival; the makespan measures from it.
 // fracs parallels asgs with each attempt's performed-write fraction (1
 // except for attempts a fail-stop killed mid-run); healths carries the
-// recovery layer's per-pipeline end state.
+// recovery layer's per-pipeline end state, one entry per fleet member.
 func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, startSec float64, tally preemptTally, ft faultTally, healths []pipeHealth, fracs []float64) Summary {
 	s := Summary{
 		Policy:            cfg.Policy,
@@ -342,12 +345,8 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 		Assignments:       asgs,
 	}
 	for i, p := range cfg.Fleet {
-		s.Pipelines[i].Name = p.Name
-		if i < len(healths) {
-			s.Pipelines[i].Faults = healths[i].faults
-			s.Pipelines[i].Quarantines = healths[i].quarantines
-			s.Pipelines[i].WearOut = healths[i].wearOut
-		}
+		h := healths[i]
+		s.Pipelines[i] = PipelineStats{Name: p.Name, Faults: h.faults, Quarantines: h.quarantines, WearOut: h.wearOut}
 	}
 
 	prioOf := make(map[int]int, len(reqs))
@@ -396,38 +395,28 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 			}
 			continue
 		}
+		// Every attempt spends the pipeline's time, dollars and (for a
+		// killed attempt, prorated) flash writes on its class; only a
+		// completed one also finishes its jobs — a fault-aborted attempt's
+		// batch settles in a later assignment.
 		ps := &s.Pipelines[a.Pipeline]
 		sec := a.ExecSec()
 		p := cfg.Fleet[a.Pipeline]
+		ps.BusySec += sec
+		s.PerClassSec[a.Batch.Class.Name] += sec
+		ps.WriteBytes += writeBytes(&a.Report, a.Batch) * fracs[ai]
+		devices[a.Pipeline] = max(devices[a.Pipeline], a.Report.Devices)
+		ps.CostUSD += p.USDPerHour / 3600 * sec
+		s.MakespanSec = max(s.MakespanSec, a.FinishSec-startSec)
 		if a.Aborted {
-			// A fault-consumed attempt: the pipeline's time, dollars and
-			// (prorated) flash writes were spent on this class, but no job
-			// completed here — the batch's outcome is a later assignment.
-			ps.BusySec += sec
-			s.PerClassSec[a.Batch.Class.Name] += sec
-			ps.WriteBytes += assignmentWriteBytes(a) * fracs[ai]
-			if a.Report.Devices > devices[a.Pipeline] {
-				devices[a.Pipeline] = a.Report.Devices
-			}
-			ps.CostUSD += p.USDPerHour / 3600 * sec
-			if fin := a.FinishSec - startSec; fin > s.MakespanSec {
-				s.MakespanSec = fin
-			}
 			continue
 		}
 		s.Batches++
 		ps.Batches++
 		ps.Jobs += n
-		ps.BusySec += sec
 		toks := int64(n) * int64(a.Batch.Class.Output)
 		ps.OutputTokens += toks
 		s.OutputTokens += toks
-		s.PerClassSec[a.Batch.Class.Name] += sec
-		ps.WriteBytes += assignmentWriteBytes(a)
-		if a.Report.Devices > devices[a.Pipeline] {
-			devices[a.Pipeline] = a.Report.Devices
-		}
-		ps.CostUSD += p.USDPerHour / 3600 * sec
 		if p.Energy != nil {
 			eb, err := energy.PerToken(p.Energy.Testbed, a.Report, p.Energy.Model)
 			if err != nil {
@@ -437,9 +426,6 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 			} else {
 				ps.EnergyJ += eb.Total() * float64(toks)
 			}
-		}
-		if fin := a.FinishSec - startSec; fin > s.MakespanSec {
-			s.MakespanSec = fin
 		}
 		pst := prioStats(a.Batch.Priority)
 		pst.Completed += n
@@ -502,21 +488,18 @@ func summarize(cfg Config, reqs []Request, asgs []Assignment, rejected []int, st
 	return s
 }
 
-// assignmentWriteBytes estimates the physical flash bytes written executing
-// one assignment from its engine report's write accounting: ceil(n/batch)
-// passes, each writing the prefill KV spill plus the per-step decode
-// writeback over the class's decode steps. The tail pass is charged at the
-// full-size report's rate, consistent with execSec's pass accounting.
-func assignmentWriteBytes(a Assignment) float64 {
-	rep := a.Report
+// writeBytes estimates the physical flash bytes one full attempt of batch b
+// writes, from its engine report's write accounting: ceil(n/batch) passes,
+// each writing the prefill KV spill plus the per-step decode writeback over
+// the class's decode steps. The tail pass is charged at the full-size
+// report's rate, consistent with execSec's pass accounting. Summaries
+// attribute it per pipeline; the event loop charges wear budgets with it.
+func writeBytes(rep *pipeline.Report, b BatchJob) float64 {
 	if rep.Batch < 1 {
 		return 0
 	}
-	n := len(a.Batch.JobIDs)
+	n := len(b.JobIDs)
 	passes := float64((n + rep.Batch - 1) / rep.Batch)
-	steps := a.Batch.Class.Output - 1
-	if steps < 0 {
-		steps = 0
-	}
+	steps := max(b.Class.Output-1, 0)
 	return passes * (rep.PrefillWriteBytes + rep.DecodeWriteBytesPerStep*float64(steps))
 }

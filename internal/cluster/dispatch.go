@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/energy"
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/repcache"
@@ -160,13 +161,13 @@ type dispatcher struct {
 	group  *repcache.Group
 	memo   map[repKey]*pipeline.Report // scheduling goroutine only
 
-	// Recovery hooks, installed only when a fault injector is active (nil
-	// otherwise, which keeps the fault-free arithmetic bit-identical to a
-	// build without them). availAt returns the earliest instant a pipeline
-	// accepts new work (+Inf = permanently failed); slowAt returns the
-	// straggler service-time multiplier in effect at a given instant.
-	availAt func(p int) float64
-	slowAt  func(p int, at float64) float64
+	// health is the recovery layer's per-pipeline state, which the event
+	// loop's fault paths update and planning reads through avail; it stays
+	// zero (every pipeline always available) without a fault injector.
+	// inj supplies straggler factors; nil (no injector, or an empty one)
+	// makes every factor 1, so fault-free arithmetic is unchanged.
+	health []pipeHealth
+	inj    *faults.Injector
 }
 
 func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher, error) {
@@ -205,6 +206,7 @@ func newDispatcher(m model.Config, fleet []Pipeline, policy Policy) (*dispatcher
 		engKey: engKey,
 		group:  repcache.NewGroup(),
 		memo:   map[repKey]*pipeline.Report{},
+		health: make([]pipeHealth, len(fleet)),
 	}, nil
 }
 
@@ -326,33 +328,24 @@ type placement struct {
 	degraded bool
 }
 
-// avail returns when pipeline p next accepts work (0 without recovery
-// hooks: always available).
+// avail returns the earliest instant pipeline p accepts new work: 0 when it
+// was never out of service, the later of its downtime/quarantine ends
+// otherwise, +Inf once it wore out permanently.
 func (d *dispatcher) avail(p int) float64 {
-	if d.availAt == nil {
-		return 0
-	}
-	return d.availAt(p)
+	return max(d.health[p].downUntil, d.health[p].quarUntil)
 }
 
-// slow returns the straggler multiplier for pipeline p at the given instant
-// (1 without recovery hooks).
-func (d *dispatcher) slow(p int, at float64) float64 {
-	if d.slowAt == nil {
-		return 1
-	}
-	return d.slowAt(p, at)
-}
-
-// pick is the one policy-scoring loop behind plan and planIdle: it ranks
-// every pipeline that can place the batch (and, with idleOnly, is free at
-// now) without committing anything. feasible reports whether any fleet
-// member that has not permanently failed — busy, down, or quarantined
-// included — could ever place the batch. nextAvail is the earliest
-// re-admission instant among capacity-feasible pipelines that are
+// plan picks a pipeline for the batch per the policy without committing it:
+// the pipeline clocks are untouched until commit. It ranks every pipeline
+// that can place the batch and, with idleOnly (continuous batching, which
+// never queues work behind a busy pipeline), is free at now. A failed plan
+// (p == -1) carries the first engine's refusal reason. feasible reports
+// whether any fleet member that has not permanently failed — busy, down,
+// or quarantined included — could ever place the batch. nextAvail is the
+// earliest re-admission instant among capacity-feasible pipelines that are
 // temporarily out of service (+Inf when none is): when pl.p == -1 with
 // feasible == true, retrying the plan at nextAvail makes progress.
-func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement, feasible bool, nextAvail float64) {
+func (d *dispatcher) plan(b BatchJob, idleOnly bool, now float64) (pl placement, feasible bool, nextAvail float64) {
 	n := len(b.JobIDs)
 	best := -1
 	var bestRep *pipeline.Report
@@ -400,7 +393,7 @@ func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement,
 		if d.freeAt[p] > start {
 			start = d.freeAt[p]
 		}
-		sec := d.execSec(p, b.Class, n, rep) * d.slow(p, start)
+		sec := d.execSec(p, b.Class, n, rep) * d.inj.SlowFactor(p, start)
 		var key, tie float64
 		switch d.policy {
 		case LeastLoaded:
@@ -430,22 +423,6 @@ func (d *dispatcher) pick(b BatchJob, idleOnly bool, now float64) (pl placement,
 	// out.
 	pl.degraded = d.fleet[best].Lossy && !exactCandidate && exactBlocked
 	return pl, true, nextAvail
-}
-
-// plan picks a pipeline for the batch per the policy without committing it:
-// the pipeline clocks are untouched until commit. Failed plans (p == -1)
-// carry the first engine's refusal reason; feasible and nextAvail follow
-// pick's contract for the recovery layer's deferral decision.
-func (d *dispatcher) plan(b BatchJob, now float64) (placement, bool, float64) {
-	return d.pick(b, false, now)
-}
-
-// planIdle picks a pipeline among those idle at now (freeAt ≤ now) — the
-// continuous-batching variant, where batches are never queued ahead on a
-// busy pipeline. feasible == false means the batch fails as a unit; true
-// with p == -1 means "wait for a pipeline-free (or repair) event".
-func (d *dispatcher) planIdle(b BatchJob, now float64) (placement, bool, float64) {
-	return d.pick(b, true, now)
 }
 
 // commit advances the chosen pipeline's clock and materializes the
@@ -484,7 +461,7 @@ func dispatch(m model.Config, batches []BatchJob, fleet []Pipeline, policy Polic
 	d.prewarm(shapes)
 	out := make([]Assignment, len(batches))
 	for i, b := range batches {
-		pl, _, _ := d.plan(b, 0)
+		pl, _, _ := d.plan(b, false, 0)
 		if pl.p < 0 {
 			out[i] = Assignment{Batch: b, Pipeline: -1, Reason: pl.reason}
 			continue

@@ -70,14 +70,13 @@ type eventLoop struct {
 	rejected []int
 	tally    preemptTally
 
-	// Recovery layer, active only with a non-empty fault injector: inj is
+	// Recovery layer, active only with a non-empty fault injector: d.inj is
 	// nil otherwise and every fault path below is skipped, leaving the
-	// loop's behavior bit-identical to a fault-free build.
-	inj    *faults.Injector
-	stops  []faults.Event // inj.FailStops(), indexed by evFault events
-	retry  RetryPolicy
-	health []pipeHealth
-	ft     faultTally
+	// loop's behavior bit-identical to a fault-free build. The fault paths
+	// update the per-pipeline health the dispatcher plans against
+	// (d.health); the retry policy is cfg.Retry.
+	stops []faults.Event // d.inj.FailStops(), indexed by evFault events
+	ft    faultTally
 	// pendingRetries holds failed-over and retried batches awaiting an
 	// idle pipeline in continuous mode; they dispatch ahead of the queues
 	// (they are the oldest admitted work). Whatever is still here when the
@@ -309,7 +308,7 @@ func (l *eventLoop) closeQueue(q *classQueue, release float64) {
 	b := makeBatch(q.key, l.reqs, q.members(), release)
 	q.take(len(q.members()))
 	l.cfg.Telemetry.onQueueDepth(q.key, 0)
-	l.place(b)
+	l.place(b, l.cfg.Admission.Preemption)
 }
 
 // commitSlot materializes a planned placement as a schedule slot. With a
@@ -327,8 +326,8 @@ func (l *eventLoop) commitSlot(b BatchJob, pl placement) *slot {
 	l.chains[pl.p] = append(l.chains[pl.p], s)
 	l.order = append(l.order, s)
 	l.cfg.Telemetry.onDispatch(l.now, s, l.cfg.Fleet[pl.p].Name)
-	if l.inj != nil {
-		s.transient = l.inj.BatchFails(pl.p)
+	if l.d.inj != nil {
+		s.transient = l.d.inj.BatchFails(pl.p)
 		if pl.degraded {
 			l.ft.degradedB++
 			l.ft.degradedJ += len(b.JobIDs)
@@ -345,35 +344,39 @@ func (l *eventLoop) failSlot(b BatchJob, reason string) {
 	l.cfg.Telemetry.onFail(l.now, b, reason)
 }
 
-// place dispatches a closed batch (close-at-admission mode). Under
-// preemption, a batch that would miss its earliest member deadline on the
-// policy's pick instead takes the pipeline where it can start soonest after
-// evicting strictly-lower-priority unstarted slots; evicted batches are
-// re-enqueued, never dropped.
-func (l *eventLoop) place(b BatchJob) {
-	pl, feasible, nextAvail := l.d.plan(b, l.now)
-	if pl.p >= 0 && l.cfg.Admission.Preemption && minDeadline(b) < pl.start {
+// place dispatches a batch in close-at-admission mode: commit the policy's
+// plan, or — when every pipeline that could serve the batch is temporarily
+// down or quarantined — defer to the earliest re-admission instant instead
+// of failing work the fleet will soon be able to run. Only a batch no
+// pipeline can ever place fails terminally.
+//
+// With preempt (a freshly closed batch under Preemption), a batch that would
+// miss its earliest member deadline on the policy's pick instead takes the
+// pipeline where it can start soonest after evicting strictly-lower-priority
+// unstarted slots. The evicted batches re-dispatch without preemption, so
+// one eviction cannot cascade.
+func (l *eventLoop) place(b BatchJob, preempt bool) {
+	pl, feasible, nextAvail := l.d.plan(b, false, l.now)
+	if preempt && pl.p >= 0 && minDeadline(b) < pl.start {
 		if p, est := l.bestPreemptive(b); p >= 0 && est < pl.start {
-			l.preemptInto(p, b)
+			evicted := l.evict(p, b.Priority)
+			n := len(b.JobIDs)
+			rep := l.d.report(p, b.Class, n)
+			start := math.Max(b.ReleaseSec, l.d.freeAt[p])
+			sec := l.d.execSec(p, b.Class, n, rep) * l.d.inj.SlowFactor(p, start)
+			l.commitSlot(b, placement{p: p, rep: rep, sec: sec, start: start})
+			for _, ev := range evicted {
+				l.tally.batches++
+				l.tally.jobs += len(ev.b.JobIDs)
+				l.tally.byPrio[ev.b.Priority] += len(ev.b.JobIDs)
+				l.cfg.Telemetry.onPreempt(l.now, ev, b.Priority, l.cfg.Fleet[p].Name)
+			}
+			for _, ev := range evicted {
+				l.redispatch(ev.b)
+			}
 			return
 		}
 	}
-	l.finishPlacement(b, pl, feasible, nextAvail)
-}
-
-// placePlain dispatches without the preemption escalation — used for
-// re-dispatching evicted batches, so one eviction cannot cascade.
-func (l *eventLoop) placePlain(b BatchJob) {
-	pl, feasible, nextAvail := l.d.plan(b, l.now)
-	l.finishPlacement(b, pl, feasible, nextAvail)
-}
-
-// finishPlacement settles a plan (close-at-admission mode): commit it,
-// or — when every pipeline that could serve the batch is temporarily down
-// or quarantined — defer to the earliest re-admission instant instead of
-// failing work the fleet will soon be able to run. Only a batch no pipeline
-// can ever place fails terminally.
-func (l *eventLoop) finishPlacement(b BatchJob, pl placement, feasible bool, nextAvail float64) {
 	switch {
 	case pl.p >= 0:
 		l.commitSlot(b, pl)
@@ -417,82 +420,45 @@ func (l *eventLoop) bestPreemptive(b BatchJob) (int, float64) {
 	return best, bestStart
 }
 
-// preemptInto evicts every strictly-lower-priority unstarted slot on
-// pipeline p, re-times the survivors, places b at the end of the compacted
-// chain, and re-dispatches the evicted batches at the current instant —
-// work is displaced, never lost.
-func (l *eventLoop) preemptInto(p int, b BatchJob) {
+// evictAll is evict's keepPrio for failover: every unstarted slot goes.
+const evictAll = -1
+
+// evict removes pipeline p's unstarted slots whose priority is below
+// keepPrio (every unstarted slot with evictAll) and re-times the survivors:
+// each shifts up to max(its release, its predecessor's finish), and the
+// pipeline clock tracks the new chain end, which also rewinds it after a
+// kill truncated the running slot. With faults active each shifted slot
+// re-arms its completion event for the new finish; the events armed for the
+// old finish go stale (their finish no longer matches) and the done flag
+// dedups two armings landing on the same instant. The evicted slots come
+// back in chain order for the caller to tally and hand to redispatch: work
+// is displaced, never lost.
+func (l *eventLoop) evict(p, keepPrio int) []*slot {
 	var kept, evicted []*slot
-	for _, s := range l.chains[p] {
-		if s.start > l.now && s.b.Priority < b.Priority {
-			s.evicted = true
-			evicted = append(evicted, s)
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	l.chains[p] = kept
-	l.recompute(p)
-	l.dropEvicted(len(evicted))
-
-	n := len(b.JobIDs)
-	rep := l.d.report(p, b.Class, n)
-	start := math.Max(b.ReleaseSec, l.d.freeAt[p])
-	sec := l.d.execSec(p, b.Class, n, rep) * l.d.slow(p, start)
-	l.commitSlot(b, placement{p: p, rep: rep, sec: sec, start: start})
-
-	for _, ev := range evicted {
-		l.tally.batches++
-		l.tally.jobs += len(ev.b.JobIDs)
-		l.tally.byPrio[ev.b.Priority] += len(ev.b.JobIDs)
-		l.cfg.Telemetry.onPreempt(l.now, ev, b.Priority, l.cfg.Fleet[p].Name)
-	}
-	for _, ev := range evicted {
-		nb := ev.b
-		nb.ReleaseSec = l.now
-		l.placePlain(nb)
-	}
-}
-
-// recompute re-times pipeline p's unstarted suffix after an eviction:
-// survivors shift up to max(their release, predecessor finish), and the
-// pipeline clock tracks the new chain end. With faults active each shifted
-// slot re-arms its completion event for the new finish; the events armed
-// for the old finish go stale (their dl no longer matches) and a done flag
-// dedups the case where two armings land on the same instant.
-func (l *eventLoop) recompute(p int) {
 	prevFinish := l.floors[p]
 	for _, s := range l.chains[p] {
-		if s.start <= l.now {
-			prevFinish = s.finish
+		switch {
+		case s.start <= l.now:
+			prevFinish = s.finish // started: immovable
+		case keepPrio == evictAll || s.b.Priority < keepPrio:
+			s.evicted = true
+			evicted = append(evicted, s)
 			continue
+		default:
+			old := s.finish
+			s.start = math.Max(s.b.ReleaseSec, prevFinish)
+			s.finish = s.start + s.execSec
+			prevFinish = s.finish
+			if l.d.inj != nil && s.finish != old {
+				l.push(event{at: s.finish, kind: evDone, s: s})
+			}
 		}
-		old := s.finish
-		s.start = math.Max(s.b.ReleaseSec, prevFinish)
-		s.finish = s.start + s.execSec
-		prevFinish = s.finish
-		if l.inj != nil && s.finish != old {
-			l.push(event{at: s.finish, kind: evDone, s: s})
-		}
+		kept = append(kept, s)
 	}
+	l.chains[p] = kept
 	l.d.freeAt[p] = prevFinish
-}
-
-// slotWriteBytes is the flash write volume of one attempt at full
-// completion — assignmentWriteBytes' twin on the loop's slot form, used to
-// charge wear budgets as writes land.
-func slotWriteBytes(s *slot) float64 {
-	rep := s.rep
-	if rep.Batch < 1 {
-		return 0
-	}
-	n := len(s.b.JobIDs)
-	passes := float64((n + rep.Batch - 1) / rep.Batch)
-	steps := s.b.Class.Output - 1
-	if steps < 0 {
-		steps = 0
-	}
-	return passes * (rep.PrefillWriteBytes + rep.DecodeWriteBytesPerStep*float64(steps))
+	l.dropEvicted(len(evicted))
+	return evicted
 }
 
 // fireDone settles one attempt at the finish it was armed for (faults
@@ -506,7 +472,7 @@ func (l *eventLoop) fireDone(s *slot, armed float64) {
 	}
 	s.done = true
 	p := s.pipe
-	if l.health[p].wear.Add(slotWriteBytes(s)) {
+	if l.d.health[p].wear.Add(writeBytes(s.rep, s.b)) {
 		// This attempt's writes crossed the endurance budget: the pipeline
 		// retires permanently, effective now (the completion boundary).
 		l.injectFault(p, faults.Event{Kind: faults.WearOut, Pipeline: p, AtSec: l.now})
@@ -518,7 +484,7 @@ func (l *eventLoop) fireDone(s *slot, armed float64) {
 		l.failAttempt(p, s.b, "transient batch error")
 		return
 	}
-	l.health[p].consecFails = 0
+	l.d.health[p].consecFails = 0
 }
 
 // injectFault applies one injected fault to pipeline p: a wear-out retires
@@ -527,7 +493,7 @@ func (l *eventLoop) fireDone(s *slot, armed float64) {
 // spot — its flash writes prorated by run fraction, its batch routed into
 // the retry path — and queued-ahead work fails over immediately.
 func (l *eventLoop) injectFault(p int, fe faults.Event) {
-	h := &l.health[p]
+	h := &l.d.health[p]
 	if math.IsInf(h.downUntil, 1) {
 		return // already permanently retired
 	}
@@ -556,7 +522,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 		s.writeFrac = frac
 		s.finish = l.now
 		s.reason = "killed by " + string(fe.Kind)
-		if h.wear.Add(frac * slotWriteBytes(s)) {
+		if h.wear.Add(frac * writeBytes(s.rep, s.b)) {
 			// The partial writes themselves exhausted the budget: the
 			// repair window becomes moot — the device is worn out.
 			h.downUntil = math.Inf(1)
@@ -564,7 +530,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 		}
 		l.failAttempt(p, s.b, "killed by "+string(fe.Kind))
 	}
-	l.evictUnstarted(p, string(fe.Kind))
+	l.failover(p, string(fe.Kind))
 }
 
 // fireRepair re-admits pipeline p when its downtime and quarantine have
@@ -572,7 +538,7 @@ func (l *eventLoop) injectFault(p int, fe faults.Event) {
 // for a pipeline that wore out permanently in the meantime — is stale and
 // skipped), then offers it the waiting work.
 func (l *eventLoop) fireRepair(p int) {
-	h := &l.health[p]
+	h := &l.d.health[p]
 	if h.downUntil > l.now || h.quarUntil > l.now {
 		return
 	}
@@ -587,13 +553,13 @@ func (l *eventLoop) fireRepair(p int) {
 // bit-identical.
 func (l *eventLoop) failAttempt(p int, b BatchJob, reason string) {
 	attempt := b.Attempt + 1
-	if attempt > l.retry.MaxRetries {
+	if attempt > l.cfg.Retry.MaxRetries {
 		l.failSlot(b, reason+" (retries exhausted)")
 		return
 	}
 	nb := b
 	nb.Attempt = attempt
-	nb.ReleaseSec = l.now + l.retry.backoffSec(attempt)
+	nb.ReleaseSec = l.now + l.cfg.Retry.backoffSec(attempt)
 	l.ft.retryBatches++
 	l.ft.retryJobs += len(nb.JobIDs)
 	l.cfg.Telemetry.onRetry(l.now, nb, reason, l.cfg.Fleet[p].Name)
@@ -620,58 +586,44 @@ func (l *eventLoop) takeRetry(i int32) BatchJob {
 // scheduled. Runs before the failed batch's own retry is armed, so even a
 // zero-backoff retry sees the quarantine.
 func (l *eventLoop) noteFailure(p int) {
-	h := &l.health[p]
+	h := &l.d.health[p]
 	h.consecFails++
-	if l.retry.FailureThreshold <= 0 || h.consecFails < l.retry.FailureThreshold {
+	if l.cfg.Retry.FailureThreshold <= 0 || h.consecFails < l.cfg.Retry.FailureThreshold {
 		return
 	}
 	if h.downUntil > l.now || h.quarUntil > l.now {
 		return // already out of service
 	}
 	h.consecFails = 0
-	h.quarUntil = l.now + l.retry.QuarantineSec
+	h.quarUntil = l.now + l.cfg.Retry.QuarantineSec
 	h.quarantines++
 	l.ft.quarantines++
-	l.cfg.Telemetry.onQuarantine(l.now, l.cfg.Fleet[p].Name, l.retry.QuarantineSec)
-	l.evictUnstarted(p, "quarantine")
+	l.cfg.Telemetry.onQuarantine(l.now, l.cfg.Fleet[p].Name, l.cfg.Retry.QuarantineSec)
+	l.failover(p, "quarantine")
 	l.push(event{at: h.quarUntil, kind: evRepair, i: int32(p)})
 }
 
-// evictUnstarted fails pipeline p's queued-ahead (unstarted) slots over to
-// the rest of the fleet: each is evicted and re-dispatched at the current
-// instant, exactly like a preemption eviction — displaced, never lost. The
-// chain is re-timed unconditionally, which also rewinds the pipeline clock
-// after a kill truncated the running slot.
-func (l *eventLoop) evictUnstarted(p int, cause string) {
-	var kept, evicted []*slot
-	for _, s := range l.chains[p] {
-		if s.start > l.now {
-			s.evicted = true
-			evicted = append(evicted, s)
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	l.chains[p] = kept
-	l.recompute(p)
-	l.dropEvicted(len(evicted))
+// failover moves pipeline p's queued-ahead (unstarted) slots to the rest of
+// the fleet: each is evicted and re-dispatched at the current instant,
+// exactly like a preemption eviction.
+func (l *eventLoop) failover(p int, cause string) {
+	evicted := l.evict(p, evictAll)
 	for _, ev := range evicted {
 		l.ft.failedOverB++
 		l.ft.failedOverJ += len(ev.b.JobIDs)
 		l.cfg.Telemetry.onFailover(l.now, ev, cause, l.cfg.Fleet[p].Name)
 	}
 	for _, ev := range evicted {
-		nb := ev.b
-		nb.ReleaseSec = l.now
-		l.redispatch(nb)
+		l.redispatch(ev.b)
 	}
 }
 
-// redispatch places recovered work (a retry whose backoff expired, or a
-// failed-over batch): continuous mode parks it on the pendingRetries list
-// — drained ahead of the queues at the next dispatch opportunity — while
-// close-at-admission mode re-plans immediately, deferring again if the
-// whole fleet is still out of service.
+// redispatch places displaced or recovered work (an evicted batch, a retry
+// whose backoff expired, or a deferred batch): continuous mode parks it on
+// the pendingRetries list — drained ahead of the queues at the next
+// dispatch opportunity — while close-at-admission mode re-plans
+// immediately, without preemption, deferring again if the whole fleet is
+// still out of service.
 func (l *eventLoop) redispatch(b BatchJob) {
 	if b.ReleaseSec < l.now {
 		// Recovered work re-releases at the instant it re-enters dispatch:
@@ -684,7 +636,7 @@ func (l *eventLoop) redispatch(b BatchJob) {
 		l.tryDispatch()
 		return
 	}
-	l.placePlain(b)
+	l.place(b, false)
 }
 
 // ripe reports whether a queue may dispatch now (continuous mode): a full
@@ -723,69 +675,56 @@ func (l *eventLoop) ripeQueues() []*classQueue {
 }
 
 // tryDispatch is the continuous-batching scheduler: while an idle pipeline
-// can take a ripe queue's batch, re-pack up to MaxBatch of its oldest
-// requests and start them immediately. Batches are therefore formed at
-// dispatch time — a pipeline freeing early picks up whatever has queued
-// since, instead of a stale admission-time batch.
+// can take a batch, start it. Recovered work on the pendingRetries list goes
+// first (it is the oldest admitted work), then the ripe queues in
+// scheduling order, each re-packing up to MaxBatch of its oldest requests.
+// Batches are therefore formed at dispatch time — a pipeline freeing early
+// picks up whatever has queued since, instead of a stale admission-time
+// batch. A batch that is merely waiting on busy or recovering pipelines
+// stays put for the next free or repair event; one no fleet member can ever
+// serve again fails terminally.
 func (l *eventLoop) tryDispatch() {
 	if !l.cfg.Admission.ContinuousBatching {
 		return
 	}
-	for {
-		if l.dispatchRetry() {
-			continue
-		}
-		placed := false
-		for _, q := range l.ripeQueues() {
-			n := min(len(q.members()), l.cfg.Admission.MaxBatch)
-			b := makeBatch(q.key, l.reqs, q.members()[:n], l.now)
-			pl, feasible, _ := l.d.planIdle(b, l.now)
-			if pl.p < 0 {
-				if feasible {
-					continue // every feasible pipeline is busy or down: wait for a free/repair event
-				}
-				l.takeFromQueue(q, n)
-				l.failSlot(b, pl.reason)
-				placed = true
-				break
-			}
-			l.takeFromQueue(q, n)
-			s := l.commitSlot(b, pl)
-			l.push(event{at: s.finish, kind: evFree})
-			placed = true
-			break
-		}
-		if !placed {
-			return
-		}
+	for l.dispatchOne() {
 	}
 }
 
-// dispatchRetry tries to place one batch off the pendingRetries list
-// (continuous mode): recovered work dispatches ahead of the queues because
-// it is the oldest admitted work. A batch no fleet member can ever serve
-// again fails terminally; one that is merely waiting on busy or recovering
-// pipelines stays parked for the next free/repair event.
-func (l *eventLoop) dispatchRetry() bool {
+// dispatchOne starts or fails the first batch that need not wait, reporting
+// whether there was one (continuous mode).
+func (l *eventLoop) dispatchOne() bool {
 	for i, b := range l.pendingRetries {
 		if b.ReleaseSec < l.now {
 			b.ReleaseSec = l.now // parked since an earlier instant: re-release now
 		}
-		pl, feasible, _ := l.d.planIdle(b, l.now)
-		if pl.p < 0 {
-			if feasible {
-				continue
-			}
+		if pl, feasible, _ := l.d.plan(b, true, l.now); pl.p >= 0 || !feasible {
 			l.pendingRetries = append(l.pendingRetries[:i], l.pendingRetries[i+1:]...)
-			l.failSlot(b, pl.reason)
+			l.start(b, pl)
 			return true
 		}
-		l.pendingRetries = append(l.pendingRetries[:i], l.pendingRetries[i+1:]...)
-		s := l.commitSlot(b, pl)
-		l.push(event{at: s.finish, kind: evFree})
-		return true
+	}
+	for _, q := range l.ripeQueues() {
+		n := min(len(q.members()), l.cfg.Admission.MaxBatch)
+		b := makeBatch(q.key, l.reqs, q.members()[:n], l.now)
+		if pl, feasible, _ := l.d.plan(b, true, l.now); pl.p >= 0 || !feasible {
+			l.takeFromQueue(q, n)
+			l.start(b, pl)
+			return true
+		}
 	}
 	return false
+}
+
+// start settles an idle-pipeline plan (continuous mode): commit it and arm
+// the pipeline-free event, or fail the batch when no pipeline can place it.
+func (l *eventLoop) start(b BatchJob, pl placement) {
+	if pl.p < 0 {
+		l.failSlot(b, pl.reason)
+		return
+	}
+	s := l.commitSlot(b, pl)
+	l.push(event{at: s.finish, kind: evFree})
 }
 
 // takeFromQueue removes the queue's n oldest requests and re-arms its
@@ -873,20 +812,16 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		chains: make([][]*slot, len(cfg.Fleet)),
 		floors: make([]float64, len(cfg.Fleet)),
 		tally:  preemptTally{byPrio: map[int]int{}},
-		inj:    inj,
-		retry:  cfg.Retry,
-		health: make([]pipeHealth, len(cfg.Fleet)),
 	}
 	l.events = make(eventHeap, 0, len(sorted))
 	for i, r := range sorted {
 		l.push(event{at: r.ArrivalSec, kind: evArrival, i: int32(i)})
 	}
+	d.inj = inj
 	if inj != nil {
-		d.availAt = l.availAt
-		d.slowAt = inj.SlowFactor
-		for p := range l.health {
+		for p := range d.health {
 			if budget := inj.WearBudgetBytes(p); budget > 0 {
-				l.health[p].wear = endurance.NewBudget(budget)
+				d.health[p].wear = endurance.NewBudget(budget)
 			}
 		}
 		l.stops = inj.FailStops()
@@ -925,5 +860,5 @@ func Run(cfg Config, reqs []Request) (Summary, error) {
 		})
 		fracs = append(fracs, s.writeFrac)
 	}
-	return summarize(cfg, sorted, asgs, l.rejected, sorted[0].ArrivalSec, l.tally, l.ft, l.health, fracs), nil
+	return summarize(cfg, sorted, asgs, l.rejected, sorted[0].ArrivalSec, l.tally, l.ft, d.health, fracs), nil
 }

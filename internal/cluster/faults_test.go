@@ -327,6 +327,7 @@ func FuzzFaultParity(f *testing.F) {
 		if !reflect.DeepEqual(off, on) {
 			t.Fatalf("empty injector changed the Summary:\noff: %+v\non:  %+v", off, on)
 		}
+		checkSchedule(t, cfg, on)
 	})
 }
 
@@ -416,6 +417,7 @@ func FuzzJobConservation(f *testing.F) {
 		if s.Completed != s.Admitted-s.FailedJobs {
 			t.Fatalf("completion bookkeeping: %+v", s)
 		}
+		checkSchedule(t, cfg, s)
 
 		// Every trace job settles exactly once across the three outcomes.
 		settled := map[int]int{}

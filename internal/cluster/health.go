@@ -85,10 +85,12 @@ func (rp RetryPolicy) backoffSec(attempt int) float64 {
 	return d
 }
 
-// pipeHealth is the recovery layer's per-pipeline state: fault downtime,
-// circuit-breaker quarantine, and the wear budget whose exhaustion retires
-// the pipeline permanently. The zero value is a healthy pipeline with
-// unlimited endurance, which is exactly the injector-off configuration.
+// pipeHealth is the recovery layer's per-pipeline state, held by the
+// dispatcher (which plans against it) and updated by the event loop's fault
+// paths: fault downtime, circuit-breaker quarantine, and the wear budget
+// whose exhaustion retires the pipeline permanently. The zero value is a
+// healthy pipeline with unlimited endurance, which is exactly the
+// injector-off configuration.
 type pipeHealth struct {
 	// downUntil is when the current fail-stop window ends (+Inf once the
 	// pipeline wore out — permanent).
@@ -105,18 +107,6 @@ type pipeHealth struct {
 	faults      int
 	quarantines int
 	wearOut     bool
-}
-
-// availAt returns the earliest instant pipeline p accepts new work: now (or
-// earlier) when healthy, the later of its downtime/quarantine ends while out
-// of service, +Inf once permanently worn out.
-func (l *eventLoop) availAt(p int) float64 {
-	h := &l.health[p]
-	a := h.downUntil
-	if h.quarUntil > a {
-		a = h.quarUntil
-	}
-	return a
 }
 
 // faultTally accumulates the recovery layer's run-wide counters.

@@ -284,9 +284,11 @@ func (t *Telemetry) finalize(s Summary) {
 	t.reg.Gauge("cluster.makespan_sec").Set(s.MakespanSec)
 	t.reg.Gauge("cluster.total_write_bytes").Add(s.TotalWriteBytes)
 
+	// Queueing delay of completed jobs only, like Summary.DelayMeanSec:
+	// a fault-aborted attempt's jobs settle in a later assignment.
 	h := t.reg.Histogram("cluster.delay_sec", delayBounds)
 	for _, a := range s.Assignments {
-		if a.Pipeline < 0 {
+		if a.Pipeline < 0 || a.Aborted {
 			continue
 		}
 		for i := range a.Batch.JobIDs {

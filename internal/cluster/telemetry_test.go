@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
@@ -119,66 +120,92 @@ func FuzzClusterTelemetryParity(f *testing.F) {
 }
 
 // Live counters must agree with the Summary where the schedule cannot shift
-// them, and finalize must copy the settled end-state exactly.
+// them, and finalize must copy the settled end-state exactly — on a faulted
+// run too, where aborted attempts must not leak into the delay histogram.
 func TestTelemetryCountersMatchSummary(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	stream := telemetry.NewStream()
-	sub := stream.Subscribe(1024)
-	cfg := Config{
-		Model:     model.OPT30B,
-		Fleet:     telemetryFleet(),
-		Policy:    LeastLoaded,
-		Admission: Admission{MaxBatch: 4, MaxWaitSec: 5, MaxBacklog: 6},
-		Telemetry: NewTelemetry(reg, stream),
-	}
-	reqs := parityTrace(3, 40)
-	s, err := Run(cfg, reqs)
+	faultReqs := parityTrace(5, 48)
+	stops, err := faults.GenerateFailStops(5, 3, faultReqs[len(faultReqs)-1].ArrivalSec+100, 200, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream.Close()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		reqs []Request
+	}{
+		{"plain", Config{
+			Model:     model.OPT30B,
+			Fleet:     telemetryFleet(),
+			Policy:    LeastLoaded,
+			Admission: Admission{MaxBatch: 4, MaxWaitSec: 5, MaxBacklog: 6},
+		}, parityTrace(3, 40)},
+		{"faulted", Config{
+			Model:     model.OPT30B,
+			Fleet:     faultFleet(),
+			Policy:    LeastLoaded,
+			Admission: Admission{MaxBatch: 3, MaxWaitSec: 3},
+			Faults:    mustInjector(t, faults.Plan{Seed: 5, Events: stops, TransientProb: 0.3}, 3),
+			Retry:     DefaultRetryPolicy(),
+		}, faultReqs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			stream := telemetry.NewStream()
+			sub := stream.Subscribe(1024)
+			cfg := tc.cfg
+			cfg.Telemetry = NewTelemetry(reg, stream)
+			s, err := Run(cfg, tc.reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream.Close()
+			if cfg.Faults != nil && s.RetriedBatches == 0 {
+				t.Fatal("faulted case aborted no attempt")
+			}
 
-	snap := reg.Snapshot()
-	if got := snap.Counters["cluster.arrivals"]; got != int64(s.Admitted) {
-		t.Errorf("arrivals counter %d, Summary.Admitted %d", got, s.Admitted)
-	}
-	if got := snap.Counters["cluster.rejections"]; got != int64(s.RejectedJobs) {
-		t.Errorf("rejections counter %d, Summary.RejectedJobs %d", got, s.RejectedJobs)
-	}
-	if got := snap.Counters["cluster.completed_jobs"]; got != int64(s.Completed) {
-		t.Errorf("completed counter %d, Summary.Completed %d", got, s.Completed)
-	}
-	if got := snap.Counters["cluster.deadline_misses"]; got != int64(s.DeadlineMisses) {
-		t.Errorf("deadline miss counter %d, Summary %d", got, s.DeadlineMisses)
-	}
-	if got := snap.Gauges["cluster.makespan_sec"]; got != s.MakespanSec {
-		t.Errorf("makespan gauge %g, Summary %g", got, s.MakespanSec)
-	}
-	if h, ok := snap.Histograms["cluster.delay_sec"]; !ok || h.Count != int64(s.Completed) {
-		t.Errorf("delay histogram count %d, want %d completions", h.Count, s.Completed)
-	}
-	for _, ps := range s.Pipelines {
-		if got := snap.Gauges["cluster.pipeline."+ps.Name+".busy_sec"]; got != ps.BusySec {
-			t.Errorf("pipeline %s busy gauge %g, Summary %g", ps.Name, got, ps.BusySec)
-		}
-	}
+			snap := reg.Snapshot()
+			if got := snap.Counters["cluster.arrivals"]; got != int64(s.Admitted) {
+				t.Errorf("arrivals counter %d, Summary.Admitted %d", got, s.Admitted)
+			}
+			if got := snap.Counters["cluster.rejections"]; got != int64(s.RejectedJobs) {
+				t.Errorf("rejections counter %d, Summary.RejectedJobs %d", got, s.RejectedJobs)
+			}
+			if got := snap.Counters["cluster.completed_jobs"]; got != int64(s.Completed) {
+				t.Errorf("completed counter %d, Summary.Completed %d", got, s.Completed)
+			}
+			if got := snap.Counters["cluster.deadline_misses"]; got != int64(s.DeadlineMisses) {
+				t.Errorf("deadline miss counter %d, Summary %d", got, s.DeadlineMisses)
+			}
+			if got := snap.Gauges["cluster.makespan_sec"]; got != s.MakespanSec {
+				t.Errorf("makespan gauge %g, Summary %g", got, s.MakespanSec)
+			}
+			if h, ok := snap.Histograms["cluster.delay_sec"]; !ok || h.Count != int64(s.Completed) {
+				t.Errorf("delay histogram count %d, want %d completions", h.Count, s.Completed)
+			}
+			for _, ps := range s.Pipelines {
+				if got := snap.Gauges["cluster.pipeline."+ps.Name+".busy_sec"]; got != ps.BusySec {
+					t.Errorf("pipeline %s busy gauge %g, Summary %g", ps.Name, got, ps.BusySec)
+				}
+			}
 
-	// The stream narrated the run: arrival events for every admitted
-	// request, dispatch events for every committed batch.
-	var arrivals, dispatches int
-	for e := range sub.Events() {
-		switch e.Kind {
-		case "arrival":
-			arrivals++
-		case "dispatch":
-			dispatches++
-		}
-	}
-	if arrivals+int(sub.Dropped()) < s.Admitted {
-		t.Errorf("stream saw %d arrivals (+%d dropped), Summary admitted %d", arrivals, sub.Dropped(), s.Admitted)
-	}
-	if dispatches == 0 && s.Batches > s.FailedBatches {
-		t.Error("no dispatch events for a run with completed batches")
+			// The stream narrated the run: arrival events for every admitted
+			// request, dispatch events for every committed batch.
+			var arrivals, dispatches int
+			for e := range sub.Events() {
+				switch e.Kind {
+				case "arrival":
+					arrivals++
+				case "dispatch":
+					dispatches++
+				}
+			}
+			if arrivals+int(sub.Dropped()) < s.Admitted {
+				t.Errorf("stream saw %d arrivals (+%d dropped), Summary admitted %d", arrivals, sub.Dropped(), s.Admitted)
+			}
+			if dispatches == 0 && s.Batches > s.FailedBatches {
+				t.Error("no dispatch events for a run with completed batches")
+			}
+		})
 	}
 }
 
